@@ -6,13 +6,12 @@
 //! | Real component      | Here                                            |
 //! |---------------------|-------------------------------------------------|
 //! | `libaccel-config`   | [`config::AccelConfig`] — validated group/WQ/engine setup |
-//! | PCM telemetry       | [`telemetry::TelemetryLog`] — counter-delta sampling |
 //! | DML (Data Mover Library) | [`job::Job`], [`job::Batch`], [`job::AsyncQueue`] |
 //! | `MOVDIR64B`/`ENQCMD`/`UMWAIT` | [`submit`] — submission & wait models |
-//! | DTO (transparent offload) | [`dto::Dto`] — threshold-routed `mem*` calls |
 //! | Guidelines G1–G6    | [`guidelines`] — executable advisors            |
 //! | Offload runtimes (DML backends) | [`backend`] — CPU/DSA/CBDMA behind one trait |
 //! | G1–G3 as live policy | [`dispatch::Dispatcher`] — per-call backend routing |
+//! | DTO (transparent offload) | [`dispatch::DispatchPolicy::Threshold`] — threshold-routed `mem*` calls |
 //! | Pre-allocated descriptors (Fig. 5) | [`program::OpProgram`] — compiled, allocation-free op replay |
 //! | Replay verification  | [`digest::Fnv1a`] / [`digest::Digestible`] — the one FNV-1a digest primitive |
 //!
@@ -45,14 +44,12 @@ pub mod backend;
 pub mod config;
 pub mod digest;
 pub mod dispatch;
-pub mod dto;
 pub mod error;
 pub mod guidelines;
 pub mod job;
 pub mod program;
 pub mod runtime;
 pub mod submit;
-pub mod telemetry;
 
 /// The types most programs need.
 pub mod prelude {
@@ -62,13 +59,11 @@ pub mod prelude {
     pub use crate::config::AccelConfig;
     pub use crate::digest::{Digestible, Fnv1a};
     pub use crate::dispatch::{Decision, DispatchPolicy, DispatchStats, Dispatcher};
-    pub use crate::dto::Dto;
     pub use crate::error::DsaError;
     pub use crate::job::{AsyncQueue, Batch, Job, JobReport};
     pub use crate::program::{OpInstr, OpProgram, ProgramBuilder};
     pub use crate::runtime::{DsaRuntime, RuntimeBuilder};
     pub use crate::submit::{SubmitMethod, WaitMethod};
-    pub use crate::telemetry::TelemetryLog;
     pub use dsa_device::descriptor::Status;
 }
 

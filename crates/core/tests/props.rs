@@ -5,7 +5,7 @@
 //! generator so the suite runs offline with no external test-harness
 //! dependency; every case is reproducible from the fixed seeds below.
 
-use dsa_core::dto::Dto;
+use dsa_core::dispatch::{DispatchPolicy, Dispatcher};
 use dsa_core::job::{AsyncQueue, Batch, Job};
 use dsa_core::runtime::DsaRuntime;
 use dsa_mem::buffer::Location;
@@ -81,7 +81,7 @@ fn dto_routes_exactly_by_threshold() {
         let calls = 1 + rng.next_below(39) as usize;
         let threshold = 512 + rng.next_below(32_256);
         let mut rt = DsaRuntime::spr_default();
-        let mut dto = Dto::new().with_threshold(threshold);
+        let mut dto = Dispatcher::new().with_policy(DispatchPolicy::Threshold(threshold));
         let pool = rt.alloc(65_536, Location::local_dram());
         let dstp = rt.alloc(65_536, Location::local_dram());
         let mut want_offloaded = 0u64;
@@ -99,9 +99,9 @@ fn dto_routes_exactly_by_threshold() {
             }
         }
         let s = dto.stats();
-        assert_eq!(s.calls, calls as u64);
-        assert_eq!(s.offloaded_calls, want_offloaded);
-        assert_eq!(s.bytes, want_bytes);
+        assert_eq!(s.calls(), calls as u64);
+        assert_eq!(s.offloaded_calls(), want_offloaded);
+        assert_eq!(s.cpu_bytes + s.offloaded_bytes, want_bytes);
         assert_eq!(s.offloaded_bytes, want_off_bytes);
     }
 }

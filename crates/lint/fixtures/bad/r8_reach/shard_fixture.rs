@@ -1,8 +1,8 @@
 //! R8 transitive-reach corpus, shard side — linted as
-//! `crates/sim/src/engine.rs`. The file itself is lexically clean: no
+//! `crates/svc/src/actionq.rs`. The file itself is lexically clean: no
 //! `Rc`, no `static mut`, nothing the lexical ban list can see. But
 //! `step` calls a workloads helper that bumps a process-global counter,
-//! so two engines on different shards would race through it. Only the
+//! so two queues on different shards would race through it. Only the
 //! call-graph pass catches this.
 
 use dsa_workloads::counter_fixture::bump_global;

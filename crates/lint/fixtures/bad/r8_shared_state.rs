@@ -1,5 +1,5 @@
 //! R8 shard-isolation corpus — linted as a shard module path such as
-//! `crates/sim/src/engine.rs`. Every construct here breaks the
+//! `crates/svc/src/actionq.rs`. Every construct here breaks the
 //! one-owner-per-shard story ROADMAP item 1 depends on: state that can be
 //! aliased across shards, observed cross-thread, or smuggled through
 //! thread-local storage.

@@ -439,7 +439,7 @@ mod tests {
         assert_eq!(module_path_of("crates/mem/src/sub/mod.rs").as_deref(), Some("mem::sub"));
         assert_eq!(module_path_of("src/lib.rs").as_deref(), Some("repro"));
         assert_eq!(module_path_of("crates/sim/tests/it.rs"), None);
-        assert_eq!(module_path_of("crates/bench/benches/simperf.rs"), None);
+        assert_eq!(module_path_of("crates/bench/benches/fleet_scale.rs"), None);
         assert_eq!(module_path_of("examples/demo.rs"), None);
     }
 

@@ -87,7 +87,7 @@ fn in_timeline_math(path: &str) -> bool {
 
 /// True for the designated hot-path modules, where steady-state heap
 /// allocation is banned (R5). These are the files the zero-allocation
-/// audits (`crates/{sim,core}/tests/zero_alloc.rs`) measure. The list is
+/// audits (`crates/{core,svc}/tests/zero_alloc.rs`) measure. The list is
 /// explicit (not directory-based) because sibling modules in the same
 /// crates allocate by design; it lives in `crates/lint/scopes.toml`
 /// (`[hot-alloc]`).
@@ -95,7 +95,7 @@ fn in_hot_path(path: &str) -> bool {
     crate::scopes::Scopes::builtin().in_scope("hot-alloc", path)
 }
 
-/// True for the modules ROADMAP item 1 will run one-per-shard-thread,
+/// True for the modules the fleet runs one-per-shard-thread,
 /// where R8 bans shared-mutable-state constructs. See `[shard-isolation]`
 /// in `crates/lint/scopes.toml`.
 fn in_shard_scope(path: &str) -> bool {
@@ -402,15 +402,15 @@ fn rule_float_cast(
 }
 
 /// R5: no heap allocation in the designated hot-path modules (see
-/// [`in_hot_path`]). The engine loop, the scheduler arenas, the op-program
-/// replay path, and the per-descriptor kernels must run out of storage
+/// [`in_hot_path`]). The op-program replay path and the per-descriptor
+/// kernels must run out of storage
 /// acquired up front — that is the property the counting-allocator tests
 /// pin at runtime, and this rule keeps allocating constructs from creeping
 /// in between audit runs. Flagged: `Box::new`, `Vec::new`, `vec![..]`,
 /// `.to_vec()`, `.clone()`. Sanctioned alternatives: `Vec::with_capacity`
 /// at construction, `clear()` + reuse, `Copy` types on the wire. One-time
 /// construction sites carry a pragma naming the invariant ("built once per
-/// engine"), which doubles as documentation of where allocation *is* legal.
+/// program"), which doubles as documentation of where allocation *is* legal.
 fn rule_hot_alloc(
     path: &str,
     tokens: &[Token],
@@ -635,8 +635,8 @@ fn rule_unit_consistency(
 }
 
 /// R8 (lexical half): shared-mutable-state constructs banned in the
-/// ROADMAP-item-1 shard modules. Each shard thread will own its engine,
-/// scheduler, store, and service slice outright; `Rc`/`RefCell` make the
+/// shard modules. Each shard thread owns its service slice (action queue
+/// included) outright; `Rc`/`RefCell` make the
 /// types `!Send`, interior mutability hides writes from the
 /// one-owner-per-shard story, and `static mut` / `thread_local!` /
 /// atomics are process-global by construction. The transitive half
@@ -845,10 +845,10 @@ mod tests {
     fn r5_flags_alloc_in_hot_modules_only() {
         let src = "fn f(xs: &[u64]) -> u64 { let v = xs.to_vec(); let b = Box::new(v.clone()); \
                    let mut w = Vec::new(); w.push(b.len() as u64); vec![0u64].len() as u64 }\n";
-        let v = lint("crates/sim/src/sched.rs", src);
+        let v = lint("crates/core/src/program.rs", src);
         assert_eq!(v.iter().filter(|v| v.rule == "hot-alloc").count(), 5, "{v:?}");
         // The same code one module over (not a designated hot path) is legal.
-        assert!(lint("crates/sim/src/engine.rs", src).is_empty());
+        assert!(lint("crates/core/src/dispatch.rs", src).is_empty());
         assert!(lint("crates/ops/src/delta.rs", src).is_empty());
     }
 
@@ -862,8 +862,8 @@ mod tests {
     #[test]
     fn r5_pragma_documents_one_time_construction() {
         let src = "fn f() -> Vec<u64> { Vec::new() } \
-                   // dsa-lint: allow(hot-alloc, arena built once per engine)\n";
-        assert!(lint("crates/sim/src/store.rs", src).is_empty());
+                   // dsa-lint: allow(hot-alloc, arena built once per program)\n";
+        assert!(lint("crates/core/src/program.rs", src).is_empty());
     }
 
     #[test]
@@ -946,7 +946,7 @@ mod tests {
         let src = "use std::rc::Rc;\nstruct S { c: RefCell<u64> }\n\
                    static mut HITS: u64 = 0;\nthread_local! { static TL: u64 = 0; }\n\
                    fn f() -> u64 { AtomicU64::new(0).into_inner() }\n";
-        let v = lint("crates/sim/src/engine.rs", src);
+        let v = lint("crates/svc/src/actionq.rs", src);
         assert_eq!(v.iter().filter(|v| v.rule == "shard-isolation").count(), 5, "{v:?}");
         // The same constructs outside the shard scope are not R8's business.
         let v = lint("crates/telemetry/src/hub.rs", src);
@@ -957,7 +957,7 @@ mod tests {
     fn r8_exempts_tests_and_honors_pragmas() {
         let test_only = "#[cfg(test)]\nmod tests {\n  use std::rc::Rc;\n  \
                          fn g() -> Rc<u64> { Rc::new(1) }\n}\n";
-        assert!(lint("crates/sim/src/store.rs", test_only).is_empty());
+        assert!(lint("crates/svc/src/shard.rs", test_only).is_empty());
         let with_pragma = "// dsa-lint: allow(shard-isolation, read-only after init)\n\
                            struct S { c: OnceLock<u64> }\n";
         assert!(lint("crates/svc/src/service.rs", with_pragma).is_empty());

@@ -75,7 +75,7 @@ fn bad_r4_raw_descriptor_literals_are_flagged() {
 
 #[test]
 fn bad_r5_hot_alloc_is_flagged_in_hot_modules_only() {
-    let v = lint_fixture("bad", "r5_hotalloc.rs", "crates/sim/src/sched.rs");
+    let v = lint_fixture("bad", "r5_hotalloc.rs", "crates/core/src/program.rs");
     assert_eq!(
         rules_of(&v),
         vec!["hot-alloc", "hot-alloc", "hot-alloc", "hot-alloc", "hot-alloc"],
@@ -85,7 +85,7 @@ fn bad_r5_hot_alloc_is_flagged_in_hot_modules_only() {
     // The same code outside the designated hot-path modules is legal:
     // allocation policy is per-module, not per-crate.
     for outside in
-        ["crates/sim/src/engine.rs", "crates/core/src/dispatch.rs", "crates/ops/src/delta.rs"]
+        ["crates/sim/src/timeline.rs", "crates/core/src/dispatch.rs", "crates/ops/src/delta.rs"]
     {
         let v = lint_fixture("bad", "r5_hotalloc.rs", outside);
         assert!(v.is_empty(), "{outside}: {v:?}");
@@ -94,7 +94,7 @@ fn bad_r5_hot_alloc_is_flagged_in_hot_modules_only() {
 
 #[test]
 fn good_r5_pooled_shapes_pass_inside_the_hot_scope() {
-    for hot in ["crates/sim/src/store.rs", "crates/core/src/program.rs", "crates/ops/src/memops.rs"]
+    for hot in ["crates/core/src/program.rs", "crates/ops/src/memops.rs", "crates/ops/src/crc32.rs"]
     {
         let v = lint_fixture("good", "r5_pooled.rs", hot);
         assert!(v.is_empty(), "{hot}: {v:?}");
@@ -116,7 +116,7 @@ fn all_five_rule_classes_fire_across_the_bad_corpus() {
         ("r2_unwrap.rs", "crates/device/src/fixture.rs"),
         ("r3_floatcast.rs", "crates/sim/src/fixture.rs"),
         ("r4_raw_descriptor.rs", "crates/core/src/fixture.rs"),
-        ("r5_hotalloc.rs", "crates/sim/src/sched.rs"),
+        ("r5_hotalloc.rs", "crates/core/src/program.rs"),
     ] {
         for v in lint_fixture("bad", file, path) {
             seen.insert(v.rule);
@@ -129,16 +129,16 @@ fn all_five_rule_classes_fire_across_the_bad_corpus() {
 
 #[test]
 fn scheduler_module_sits_inside_the_det_core_scope() {
-    // PR 5 moved the engine's priority queue into `crates/sim/src/sched.rs`.
-    // The calendar queue's correctness rests on integer-picosecond bucket
-    // math and deterministic pop order, so the strictest scopes must cover
-    // it: R1 wall-clock/hash-container findings and R3 float-cast findings
-    // all fire when bad code is placed at that path.
-    let wall = lint_fixture("bad", "r1_wallclock.rs", "crates/sim/src/sched.rs");
+    // The service's action queue (`crates/svc/src/actionq.rs`) decides the
+    // merged timeline's step order. Its correctness rests on integer
+    // picosecond instants and deterministic pop order, so the strictest
+    // scopes must cover it: R1 wall-clock/hash-container findings and R3
+    // float-cast findings all fire when bad code is placed at that path.
+    let wall = lint_fixture("bad", "r1_wallclock.rs", "crates/svc/src/actionq.rs");
     assert!(wall.iter().any(|v| v.rule == "nondeterminism"), "{wall:?}");
-    let hash = lint_fixture("bad", "r1_hashmap.rs", "crates/sim/src/sched.rs");
+    let hash = lint_fixture("bad", "r1_hashmap.rs", "crates/svc/src/actionq.rs");
     assert!(hash.iter().any(|v| v.rule == "nondeterminism"), "{hash:?}");
-    let float = lint_fixture("bad", "r3_floatcast.rs", "crates/sim/src/sched.rs");
+    let float = lint_fixture("bad", "r3_floatcast.rs", "crates/svc/src/actionq.rs");
     assert!(float.iter().any(|v| v.rule == "float-cast"), "{float:?}");
 }
 
@@ -240,7 +240,7 @@ fn good_r7_units_fixture_passes() {
 
 #[test]
 fn bad_r8_shared_state_is_flagged_in_shard_modules_only() {
-    let v = lint_fixture("bad", "r8_shared_state.rs", "crates/sim/src/engine.rs");
+    let v = lint_fixture("bad", "r8_shared_state.rs", "crates/svc/src/actionq.rs");
     let n = v.iter().filter(|v| v.rule == "shard-isolation").count();
     // Rc (use + field), AtomicU64 (use + field), static mut, thread_local!
     assert!(n >= 5, "expected >=5 shard-isolation findings, got {v:?}");
@@ -264,17 +264,17 @@ fn good_r8_owned_state_passes_with_test_only_rc() {
 fn r8_reaches_global_state_through_a_helper_crate() {
     // The shard file is lexically clean; the global counter lives in a
     // workloads helper. Only the call-graph pass connects them.
-    let shard = lint_fixture("bad/r8_reach", "shard_fixture.rs", "crates/sim/src/engine.rs");
+    let shard = lint_fixture("bad/r8_reach", "shard_fixture.rs", "crates/svc/src/actionq.rs");
     assert!(shard.is_empty(), "lexical pass should be silent, got {shard:?}");
 
     let v = lint_fixture_set(&[
-        ("bad/r8_reach", "shard_fixture.rs", "crates/sim/src/engine.rs"),
+        ("bad/r8_reach", "shard_fixture.rs", "crates/svc/src/actionq.rs"),
         ("bad/r8_reach", "counter_fixture.rs", "crates/workloads/src/counter_fixture.rs"),
     ]);
     assert_eq!(v.len(), 1, "expected exactly one finding, got {v:?}");
     let f = &v[0];
     assert_eq!(f.rule, "shard-isolation", "{f:?}");
-    assert_eq!(f.file, "crates/sim/src/engine.rs", "{f:?}");
+    assert_eq!(f.file, "crates/svc/src/actionq.rs", "{f:?}");
     assert!(f.message.contains("CALLS"), "{f:?}");
     assert!(f.message.contains("bump_global"), "{f:?}");
     assert!(f.message.contains("shard modules must own their state"), "{f:?}");

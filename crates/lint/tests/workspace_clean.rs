@@ -17,12 +17,11 @@ fn workspace_lints_clean() {
     );
 }
 
-/// The R8 sweep report (ISSUE 8 acceptance): the ROADMAP-item-1 shard
-/// modules — engine, scheduler, event store, service, and the fleet
-/// layer that actually runs them one-per-thread — carry zero
+/// The R8 sweep report: the shard modules — service, action queue, shard
+/// plan, and the fleet layer that runs them one-per-thread — carry zero
 /// shared-mutable-state findings, lexical or transitive. This is the
-/// static precondition for sharding the engine across threads: each
-/// shard can own its engine/sched/store/service slice outright.
+/// static precondition for running shards on threads: each shard can
+/// own its service slice outright.
 ///
 /// Unlike `workspace_lints_clean` (which would also fail on, say, an
 /// unwrap in telemetry), this test pins the specific guarantee: if it
@@ -35,9 +34,6 @@ fn shard_modules_carry_zero_shared_state_findings() {
     // The scope list is data (scopes.toml); assert the files it names
     // actually exist so a rename can't silently hollow out the guarantee.
     for shard in [
-        "crates/sim/src/engine.rs",
-        "crates/sim/src/sched.rs",
-        "crates/sim/src/store.rs",
         "crates/svc/src/service.rs",
         "crates/svc/src/actionq.rs",
         "crates/svc/src/shard.rs",

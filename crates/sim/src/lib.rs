@@ -9,16 +9,6 @@
 //!   engine, a memory channel, the I/O fabric, a submission port) served in
 //!   ready-time order. Queueing, saturation, and pipelining emerge from
 //!   chained reservations instead of being hand-coded per experiment.
-//! * [`engine`] — a classic discrete-event loop for scenarios where
-//!   independent agents interact (co-running processes, software pipelines).
-//! * [`sched`] — the engine's pending-event queues behind one [`sched::Scheduler`]
-//!   trait: the reference binary heap and the fast ladder-style calendar
-//!   queue (coarse near-future bucket ring, split into exactly sorted runs
-//!   on cursor arrival, plus a sorted overflow heap) the engine uses by
-//!   default. Schedulers move 20-byte `(time, seq, slot)` keys only.
-//! * [`store`] — the pooled struct-of-arrays arena event payloads live in
-//!   while scheduled; slots recycle LIFO so the steady-state event loop
-//!   performs no heap allocation.
 //! * [`stats`] — counters, log-linear latency histograms with exact
 //!   percentiles (up to p99.999), and time-series samplers.
 //! * [`rng`] — a small, seedable, splittable PRNG (SplitMix64) so inner-loop
@@ -38,11 +28,10 @@
 //! assert_eq!(b.start, SimTime::from_ns(100)); // queued behind `a`
 //! ```
 
-pub mod engine;
+#![forbid(unsafe_code)]
+
 pub mod rng;
-pub mod sched;
 pub mod stats;
-pub mod store;
 pub mod time;
 pub mod timeline;
 

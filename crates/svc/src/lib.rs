@@ -57,6 +57,8 @@
 //! threads), and proves the parallel run bit-identical to a sequential
 //! replay through per-shard digests merged in shard order.
 
+#![forbid(unsafe_code)]
+
 pub mod actionq;
 pub mod admission;
 pub mod arrival;

@@ -121,6 +121,30 @@ fn four_tenant_replay_is_bit_identical() {
     assert_eq!(a.digest(), b.digest());
     // And the run actually exercised contention, not a trivial timeline.
     assert!(a.tenants[0].retries > 0, "aggressor never saw WqFull:\n{}", a.summary());
+
+    // One more input: a dedicated-WQ cell whose aggressor retries with
+    // backoff beside a latency-class tenant with a one-retry budget.
+    let cfg = ServiceConfig::builder()
+        .plan(PlanSpec::Dedicated)
+        .seed(0xFA1C_0DE5)
+        .tenants(vec![
+            TenantSpec::new("aggr", 64 << 10, 400)
+                .with_arrival(Arrival::open(SimDuration::from_ns(300)))
+                .with_outstanding(64)
+                .with_retry_budget(8)
+                .with_backoff(SimDuration::from_ns(100)),
+            TenantSpec::new("polite", 16 << 10, 100)
+                .with_class(QosClass::Latency)
+                .with_arrival(Arrival::open(SimDuration::from_us(4)))
+                .with_outstanding(8)
+                .with_retry_budget(1),
+        ])
+        .build()
+        .unwrap();
+    let a = DsaService::from_config(cfg.clone()).unwrap().run();
+    let b = DsaService::from_config(cfg).unwrap().run();
+    assert_eq!(a.summary(), b.summary());
+    assert_eq!(a.digest(), b.digest());
 }
 
 /// The paper's isolation claim as a service-level property: at saturation,

@@ -6,10 +6,6 @@
 //! connects those signals causally, so a p999-violating completion can be
 //! asked "*which* segment put you on the critical path?":
 //!
-//! * [`CausalGraph`] collects the sim engine's
-//!   [`CausalEdge`](dsa_sim::engine::CausalEdge)s — every event carries a
-//!   trace ID (its deterministic sequence number) and a parent edge, so
-//!   any completion walks back to the external stimulus that caused it.
 //! * [`JobTrace`] attributes one completed job's end-to-end latency to
 //!   five typed [`SegmentKind`]s that partition it picosecond-exactly and
 //!   reconcile with the six device [`Phase`]s.
@@ -19,15 +15,14 @@
 //!   dominant segment changes hands (the Fig. 4/7 crossovers, e.g.
 //!   WQ-wait overtaking PE service as fan-out grows).
 //!
-//! Everything here is deterministic and replay-safe: IDs derive from
-//! event sequence numbers or an insertion-order counter, containers are
+//! Everything here is deterministic and replay-safe: IDs derive from an
+//! insertion-order counter, containers are
 //! ordered (`BTreeMap`, arrays), and no wall clock is consulted. The
 //! module sits inside the dsa-lint det-core scope (R1/R3), so hash-order
 //! containers and float->int timeline casts are rejected at lint time.
 
 use std::collections::BTreeMap;
 
-use dsa_sim::engine::CausalEdge;
 use dsa_sim::stats::DurationHistogram;
 use dsa_sim::time::{SimDuration, SimTime};
 
@@ -108,8 +103,7 @@ impl SegmentKind {
 /// One completed job's attributed critical path.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobTrace {
-    /// Deterministic trace ID (insertion-order counter from the hub, or
-    /// an engine event sequence number).
+    /// Deterministic trace ID (insertion-order counter from the hub).
     pub trace_id: u64,
     /// Owning tenant, when the job ran under the service layer.
     pub tenant: Option<u16>,
@@ -196,79 +190,6 @@ impl JobTrace {
             }
         }
         best
-    }
-}
-
-/// The causal DAG of one engine run, built from
-/// [`CausalEdge`](dsa_sim::engine::CausalEdge)s delivered to the engine's
-/// cause observer. Edges are keyed by child sequence number (each event
-/// is scheduled exactly once, so the "DAG" is a forest of cause trees
-/// rooted at external posts).
-#[derive(Clone, Debug, Default)]
-pub struct CausalGraph {
-    edges: Vec<CausalEdge>,
-    by_child: BTreeMap<u64, usize>,
-}
-
-impl CausalGraph {
-    /// Creates an empty graph.
-    pub fn new() -> CausalGraph {
-        CausalGraph::default()
-    }
-
-    /// Records one edge (call from the engine's cause observer).
-    pub fn record(&mut self, edge: CausalEdge) {
-        self.by_child.insert(edge.child, self.edges.len());
-        self.edges.push(edge);
-    }
-
-    /// Number of recorded edges.
-    pub fn len(&self) -> usize {
-        self.edges.len()
-    }
-
-    /// True when no edges have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// All edges in recording (scheduling) order.
-    pub fn edges(&self) -> &[CausalEdge] {
-        &self.edges
-    }
-
-    /// The edge that scheduled `event`, if recorded.
-    pub fn edge_to(&self, event: u64) -> Option<&CausalEdge> {
-        self.by_child.get(&event).map(|&i| &self.edges[i])
-    }
-
-    /// The causal chain from the external stimulus down to `event`,
-    /// oldest edge first. Empty when `event` was never recorded.
-    pub fn path_to(&self, event: u64) -> Vec<CausalEdge> {
-        let mut path = Vec::new();
-        let mut cursor = event;
-        while let Some(edge) = self.edge_to(cursor) {
-            path.push(*edge);
-            if edge.parent == CausalEdge::EXTERNAL {
-                break;
-            }
-            debug_assert!(edge.parent < edge.child, "sequence numbers grow along edges");
-            cursor = edge.parent;
-        }
-        path.reverse();
-        path
-    }
-
-    /// Number of causal hops from the external stimulus to `event`.
-    pub fn depth(&self, event: u64) -> usize {
-        self.path_to(event).len()
-    }
-
-    /// Total queueing/transit latency accumulated along the causal chain
-    /// to `event` — the sum of each hop's scheduled->fired delay. This is
-    /// the event-driven analogue of a job's critical-path latency.
-    pub fn chain_latency(&self, event: u64) -> SimDuration {
-        self.path_to(event).iter().map(CausalEdge::hop_latency).sum()
     }
 }
 
@@ -498,7 +419,6 @@ pub fn blame_shifts(sweep: &[CritPathProfile]) -> Vec<BlameShift> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsa_sim::engine::ComponentId;
     use dsa_sim::time::SimTime;
 
     fn ns(n: u64) -> SimTime {
@@ -532,31 +452,6 @@ mod tests {
         for p in Phase::ALL {
             assert_eq!(seen.iter().filter(|&&q| q == p).count(), 1, "{p:?}");
         }
-    }
-
-    #[test]
-    fn causal_graph_walks_back_to_the_external_stimulus() {
-        let mut g = CausalGraph::new();
-        let target = ComponentId::from_index(0);
-        let edge = |parent, child, sched, fire| CausalEdge {
-            parent,
-            child,
-            scheduled_at: ns(sched),
-            fire_at: ns(fire),
-            target,
-        };
-        g.record(edge(CausalEdge::EXTERNAL, 1, 0, 10));
-        g.record(edge(1, 2, 10, 25));
-        g.record(edge(2, 3, 25, 30));
-        g.record(edge(CausalEdge::EXTERNAL, 4, 0, 50)); // unrelated root
-        assert_eq!(g.len(), 4);
-        let path = g.path_to(3);
-        assert_eq!(path.iter().map(|e| e.child).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(g.depth(3), 3);
-        // 10 + 15 + 5 ns of hop latency along the chain.
-        assert_eq!(g.chain_latency(3), SimDuration::from_ns(30));
-        assert_eq!(g.depth(4), 1);
-        assert!(g.path_to(99).is_empty());
     }
 
     #[test]

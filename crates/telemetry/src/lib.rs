@@ -15,9 +15,8 @@
 //! * [`metrics`] — counters, gauges, and log-linear histograms
 //!   (p50/p90/p99/p999) keyed by device/WQ/PE labels, plus utilization
 //!   time series (WQ depth, PE occupancy).
-//! * [`causal`] — causal tracing: per-event trace IDs + parent edges
-//!   from the sim engine, per-job critical paths attributed to typed
-//!   segments, and per-tenant/WQ [`CritPathProfile`] breakdowns with
+//! * [`causal`] — critical-path attribution: per-job critical paths
+//!   attributed to typed segments, and per-tenant/WQ [`CritPathProfile`] breakdowns with
 //!   blame-shift detection across sweeps.
 //! * [`window`] — delta views over the hub ([`HubWindow`]): per-epoch
 //!   counter growth and histogram windows, the observation primitive the
@@ -35,8 +34,7 @@ pub mod span;
 pub mod window;
 
 pub use causal::{
-    blame_shifts, BlameShift, Breakdown, CausalGraph, CritPathProfile, JobTrace, SegmentKind,
-    SegmentStat,
+    blame_shifts, BlameShift, Breakdown, CritPathProfile, JobTrace, SegmentKind, SegmentStat,
 };
 pub use export::{chrome_trace_json, folded_stacks, metrics_csv, pcm_dashboard};
 pub use hub::Hub;

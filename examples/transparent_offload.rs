@@ -10,8 +10,8 @@ use dsa_repro::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rt = DsaRuntime::spr_default();
 
-    // DTO-style routing: a fixed 8 KiB threshold (what `Dto::new()` uses
-    // under the hood since the backend refactor).
+    // DTO-style routing: a fixed 8 KiB threshold, DTO's default (CacheLib
+    // copies of 8 KiB or more carry almost all of its copied bytes).
     let mut dto = Dispatcher::new().with_policy(DispatchPolicy::Threshold(8 << 10));
 
     // An application-like mix: many small copies, a few large ones.

@@ -1,30 +1,23 @@
 //! Critical-path attribution gates (ISSUE 6 acceptance criteria).
 //!
-//! Four invariants the causal-tracing layer must uphold:
+//! Three invariants the critical-path layer must uphold:
 //!
 //! 1. **Exact partition** — a job's five attributed segments sum to its
 //!    end-to-end latency, picosecond-exact, across submission modes
 //!    (sync, async, batch) and placements (local, remote+LLC-steered).
 //! 2. **Phase reconciliation** — the coarse segments agree with the
 //!    fine-grained descriptor [`Phase`] spans recorded by the device.
-//! 3. **Digest neutrality (engine)** — attaching a cause observer to a
-//!    fig07-shaped event cluster leaves the FNV-1a replay digest
-//!    bit-identical, while the recorded [`CausalGraph`] is well-formed.
-//! 4. **Digest neutrality (service)** — tracing a multi-tenant
+//! 3. **Digest neutrality** — tracing a multi-tenant
 //!    [`DsaService`] replay leaves its report digest bit-identical and
 //!    yields per-tenant critical-path profiles.
 
 use dsa_bench::measure::{Measure, Mode};
-use dsa_core::digest::{Digestible, Fnv1a};
 use dsa_core::runtime::DsaRuntime;
 use dsa_mem::buffer::Location;
 use dsa_ops::OpKind;
-use dsa_sim::engine::{CausalEdge, Component, ComponentId, Ctx, Engine};
-use dsa_sim::time::{SimDuration, SimTime};
+use dsa_sim::time::SimDuration;
 use dsa_svc::prelude::*;
-use dsa_telemetry::{CausalGraph, Phase, SegmentKind};
-use std::cell::RefCell;
-use std::rc::Rc;
+use dsa_telemetry::{Phase, SegmentKind};
 
 // ---------------------------------------------------------------------
 // 1. Exact partition across submission modes and placements.
@@ -101,198 +94,7 @@ fn segments_reconcile_with_descriptor_phase_spans() {
 }
 
 // ---------------------------------------------------------------------
-// 3. Engine-level causal observer is digest-neutral.
-// ---------------------------------------------------------------------
-
-#[derive(Clone)]
-enum Msg {
-    Tick,
-    Job { bytes: u64, from: ComponentId },
-    Done { bytes: u64 },
-}
-
-impl Digestible for Msg {
-    fn fold(&self, h: &mut Fnv1a) {
-        match self {
-            Msg::Tick => h.write_u64(1),
-            Msg::Job { bytes, from } => {
-                h.write_u64(2);
-                h.write_u64(*bytes);
-                h.write_u64(from.index() as u64);
-            }
-            Msg::Done { bytes } => {
-                h.write_u64(3);
-                h.write_u64(*bytes);
-            }
-        }
-    }
-}
-
-#[derive(Default)]
-struct Tally {
-    completed: u64,
-}
-
-/// Open-loop source: `jobs` fixed-size transfers, one every `gap`,
-/// round-robined over the PEs (the fig07 shape).
-struct Source {
-    me: ComponentId,
-    pes: Vec<ComponentId>,
-    next: usize,
-    jobs: u64,
-    gap: SimDuration,
-}
-
-impl Component<Msg, Tally> for Source {
-    fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>, tally: &mut Tally) {
-        match msg {
-            Msg::Tick if self.jobs > 0 => {
-                self.jobs -= 1;
-                let pe = self.pes[self.next % self.pes.len()];
-                self.next += 1;
-                ctx.send(SimDuration::ZERO, pe, Msg::Job { bytes: 64 << 10, from: self.me });
-                if self.jobs > 0 {
-                    ctx.send_self(self.gap, Msg::Tick);
-                }
-            }
-            Msg::Tick => {}
-            Msg::Done { .. } => tally.completed += 1,
-            Msg::Job { .. } => unreachable!("sources never receive jobs"),
-        }
-    }
-}
-
-/// Fixed-rate processing engine; completions bounce back to the source.
-struct Pe {
-    busy_until: SimTime,
-    ps_per_kib: u64,
-}
-
-impl Component<Msg, Tally> for Pe {
-    fn handle(&mut self, msg: Msg, ctx: &mut Ctx<'_, Msg>, _tally: &mut Tally) {
-        if let Msg::Job { bytes, from } = msg {
-            let service = SimDuration::from_ps(self.ps_per_kib * bytes.div_ceil(1024));
-            let start = self.busy_until.max(ctx.now());
-            self.busy_until = start + service;
-            let delay = SimDuration::from_ps(self.busy_until.as_ps() - ctx.now().as_ps());
-            ctx.send(delay, from, Msg::Done { bytes });
-        }
-    }
-}
-
-/// Runs the fig07-shaped cluster on the engine's default scheduler;
-/// optionally records causal edges.
-fn run_fig07_cluster(graph: Option<Rc<RefCell<CausalGraph>>>) -> (u64, u64, u64) {
-    let (events, digest, completed, _) =
-        run_fig07_cluster_on(dsa_sim::sched::CalendarScheduler::new(), graph);
-    (events, digest, completed)
-}
-
-/// Runs the fig07-shaped cluster on an explicit scheduler, returning
-/// `(events, digest, completed, event-pool high water)`. The high-water
-/// figure is how we *prove* the observers ran over recycled pooled slots:
-/// it stays at the peak live population while events number in the
-/// thousands, so nearly every delivery reused a previously released slot.
-fn run_fig07_cluster_on<Q: dsa_sim::sched::Scheduler<Msg>>(
-    sched: Q,
-    graph: Option<Rc<RefCell<CausalGraph>>>,
-) -> (u64, u64, u64, usize) {
-    let mut eng: Engine<Msg, Tally, Q> = Engine::with_scheduler(Tally::default(), sched);
-    let digest = Rc::new(RefCell::new(Fnv1a::new()));
-    let sink = digest.clone();
-    eng.set_observer(move |t, id, msg: &Msg| {
-        let mut h = sink.borrow_mut();
-        h.write_u64(t.as_ps());
-        h.write_u64(id.index() as u64);
-        msg.fold(&mut h);
-    });
-    if let Some(g) = graph {
-        eng.set_cause_observer(move |edge| g.borrow_mut().record(edge));
-    }
-    let pes: Vec<ComponentId> =
-        (0..4).map(|_| eng.add(Pe { busy_until: SimTime::ZERO, ps_per_kib: 35_000 })).collect();
-    let src = eng.add(Source {
-        me: ComponentId::from_index(4),
-        pes,
-        next: 0,
-        jobs: 300,
-        gap: SimDuration::from_ns(200),
-    });
-    eng.post(SimTime::ZERO, src, Msg::Tick);
-    eng.run();
-    let d = digest.borrow().finish();
-    (eng.events_processed(), d, eng.shared().completed, eng.event_pool_high_water())
-}
-
-#[test]
-fn cluster_digest_is_identical_with_causal_observer_attached() {
-    let plain = run_fig07_cluster(None);
-    let graph = Rc::new(RefCell::new(CausalGraph::new()));
-    let traced = run_fig07_cluster(Some(graph.clone()));
-    assert!(plain.2 > 0, "cluster must complete jobs");
-    assert_eq!(plain, traced, "(events, digest, completed) must be bit-identical");
-
-    let graph = graph.borrow();
-    // Every processed event was scheduled exactly once, and scheduling is
-    // the moment its edge is emitted — so edges == events processed.
-    assert_eq!(graph.len() as u64, traced.0, "one causal edge per event");
-    // Causality: parents fire before children are scheduled.
-    for e in graph.edges() {
-        assert!(e.parent < e.child, "parent seq precedes child seq");
-        assert!(e.fire_at >= e.scheduled_at, "no time travel");
-    }
-    // The last event's provenance chain reaches back to the external
-    // seed post, through more than one hop (Tick -> Job -> Done ...).
-    let last = graph.edges().iter().map(|e| e.child).max().expect("non-empty graph");
-    let path = graph.path_to(last);
-    assert!(path.len() > 1, "critical path has depth, got {}", path.len());
-    assert_eq!(path[0].parent, CausalEdge::EXTERNAL, "chain roots at the external seed");
-    assert!(graph.chain_latency(last) > SimDuration::ZERO);
-}
-
-#[test]
-fn causal_observer_is_passive_over_pooled_slot_recycling() {
-    use dsa_sim::sched::{CalendarScheduler, HeapScheduler};
-
-    // The pooled SoA event store recycles payload slots through a free
-    // list, so by the time an observer sees event N its slot index has
-    // typically hosted hundreds of earlier events. Attaching the causal
-    // observer must stay invisible under BOTH schedulers — same events,
-    // same digest, same completions, same pool high water — and both
-    // schedulers must agree with each other bit-for-bit.
-    let cal_plain = run_fig07_cluster_on(CalendarScheduler::new(), None);
-    let cal_graph = Rc::new(RefCell::new(CausalGraph::new()));
-    let cal_traced = run_fig07_cluster_on(CalendarScheduler::new(), Some(cal_graph.clone()));
-    let heap_plain = run_fig07_cluster_on(HeapScheduler::new(), None);
-    let heap_graph = Rc::new(RefCell::new(CausalGraph::new()));
-    let heap_traced = run_fig07_cluster_on(HeapScheduler::new(), Some(heap_graph.clone()));
-
-    assert_eq!(cal_plain, cal_traced, "calendar: tracing perturbed the run");
-    assert_eq!(heap_plain, heap_traced, "heap: tracing perturbed the run");
-    assert_eq!(cal_plain, heap_plain, "schedulers disagree over pooled events");
-
-    // Slots really were recycled under the observers: the pool plateaus at
-    // the peak live population while deliveries number in the thousands.
-    let (events, _, completed, high_water) = cal_traced;
-    assert!(completed > 0, "cluster must complete jobs");
-    assert!(
-        (high_water as u64) * 4 < events,
-        "pool high water {high_water} should be far below {events} events — \
-         otherwise slots were never reused and the test proves nothing"
-    );
-
-    // The recorded provenance is itself scheduler-independent: sequence
-    // numbers are assigned in send order, not pop order, so the edge sets
-    // match edge-for-edge.
-    assert_eq!(
-        cal_graph.borrow().edges(),
-        heap_graph.borrow().edges(),
-        "causal edge streams must be bit-identical across schedulers"
-    );
-}
-
-// ---------------------------------------------------------------------
-// 4. Service-level tracing is digest-neutral and per-tenant.
+// 3. Service-level tracing is digest-neutral and per-tenant.
 // ---------------------------------------------------------------------
 
 fn tenant_specs() -> Vec<TenantSpec> {
