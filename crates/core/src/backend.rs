@@ -5,8 +5,7 @@
 //! [`SwCost`](dsa_ops::swcost::SwCost) model), on one of the platform's DSA
 //! instances ([`DsaBackend`], which owns a device *pool* with selection
 //! policies so Fig. 10's multi-instance scaling is a first-class runtime
-//! capability), or on the previous-generation CBDMA engine
-//! ([`CbdmaBackend`], §2/§4.2 baseline). Workloads that used to hand-roll
+//! capability). Workloads that used to hand-roll
 //! private `Cpu|Dsa` enums now share [`Engine`]; the
 //! [`Dispatcher`](crate::dispatch::Dispatcher) chooses between backends per
 //! call using each backend's [`estimate`](OffloadBackend::estimate).
@@ -15,11 +14,9 @@ use crate::error::DsaError;
 use crate::job::{Job, DESC_PREPARE};
 use crate::runtime::DsaRuntime;
 use crate::submit::SubmitMethod;
-use dsa_device::cbdma::CbdmaDevice;
 use dsa_device::config::WqMode;
 use dsa_device::descriptor::Status;
 use dsa_device::device::WqId;
-use dsa_device::timing::CbdmaTiming;
 use dsa_mem::buffer::Location;
 use dsa_mem::memory::BufferHandle;
 use dsa_ops::crc32::Crc32c;
@@ -481,118 +478,6 @@ fn location_of(rt: &DsaRuntime, buf: &BufferHandle) -> Location {
     rt.memory().location_of(buf.addr()).unwrap_or(Location::local_dram())
 }
 
-/// The Ice Lake CBDMA baseline as a backend.
-///
-/// CBDMA only copies (no fill/compare/CRC, no batching, no cache control)
-/// and requires pinned buffers — the backend pins ranges on first use, the
-/// `get_user_pages`-style setup the paper calls an adoption barrier (§2).
-/// Non-copy operations fall back to the software path.
-#[derive(Debug)]
-pub struct CbdmaBackend {
-    dev: CbdmaDevice,
-    cursor: usize,
-    pinned: std::collections::BTreeSet<(u64, u64)>,
-}
-
-impl CbdmaBackend {
-    /// A CBDMA backend with `channels` channels and ICX timing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channels == 0`.
-    pub fn new(channels: usize) -> CbdmaBackend {
-        CbdmaBackend {
-            dev: CbdmaDevice::new(0, channels, CbdmaTiming::icx()),
-            cursor: 0,
-            pinned: std::collections::BTreeSet::new(),
-        }
-    }
-
-    /// The underlying device model.
-    pub fn device(&self) -> &CbdmaDevice {
-        &self.dev
-    }
-
-    fn ensure_pinned(&mut self, buf: &BufferHandle) {
-        if self.pinned.insert((buf.addr(), buf.len())) {
-            self.dev.pin(buf.addr(), buf.len());
-        }
-    }
-
-    fn copy(&mut self, rt: &mut DsaRuntime, req: &OffloadRequest) -> Result<Ticket, DsaError> {
-        self.ensure_pinned(&req.src);
-        self.ensure_pinned(&req.dst);
-        let channel = self.cursor % self.dev.channels();
-        self.cursor = self.cursor.wrapping_add(1);
-        let bytes = req.bytes();
-        let now = rt.now();
-        let (memory, memsys) = rt.mem_parts();
-        let exec = self.dev.submit_copy(
-            memory,
-            memsys,
-            channel,
-            req.src.addr(),
-            req.dst.addr(),
-            bytes,
-            now,
-        )?;
-        rt.advance_to(exec.submitted);
-        Ok(Ticket { completion: exec.completed, bytes })
-    }
-}
-
-impl OffloadBackend for CbdmaBackend {
-    fn name(&self) -> &'static str {
-        "cbdma"
-    }
-
-    fn estimate(
-        &self,
-        rt: &DsaRuntime,
-        op: OpKind,
-        bytes: u64,
-        src: Location,
-        dst: Location,
-    ) -> SimDuration {
-        if op != OpKind::Memcpy {
-            return rt.cpu_time(op, bytes, src, dst);
-        }
-        let t = *self.dev.timing();
-        let channel = self.cursor % self.dev.channels();
-        let queue = self.dev.channel_next_free(channel).saturating_duration_since(rt.now());
-        t.doorbell
-            + t.ring_fetch
-            + queue
-            + t.chan_fixed
-            + transfer_time_mgbps(bytes, t.chan_mgbps.min(t.fabric_mgbps))
-            + t.completion
-            + rt.platform().llc_latency
-    }
-
-    fn run(&mut self, rt: &mut DsaRuntime, req: &OffloadRequest) -> Result<Completion, DsaError> {
-        if req.op != OpKind::Memcpy {
-            return Ok(cpu_run(rt, req));
-        }
-        let start = rt.now();
-        let ticket = self.copy(rt, req)?;
-        rt.advance_to(ticket.completion_time());
-        Ok(Completion {
-            elapsed: rt.now().duration_since(start),
-            status: Status::Success,
-            result: 0,
-        })
-    }
-
-    fn submit(&mut self, rt: &mut DsaRuntime, req: &OffloadRequest) -> Result<Ticket, DsaError> {
-        if req.op != OpKind::Memcpy {
-            let bytes = req.bytes();
-            cpu_run(rt, req);
-            return Ok(Ticket { completion: rt.now(), bytes });
-        }
-        self.copy(rt, req)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,22 +577,5 @@ mod tests {
         let b = DsaBackend::all_devices(&rt).with_policy(PoolPolicy::NumaLocal);
         assert_eq!(rt.device(b.peek(&rt, Location::Dram { socket: 0 })).socket(), 0);
         assert_eq!(rt.device(b.peek(&rt, Location::Dram { socket: 1 })).socket(), 1);
-    }
-
-    #[test]
-    fn cbdma_backend_copies_and_costs_more_than_dsa() {
-        let mut rt = DsaRuntime::spr_default();
-        let src = rt.alloc(16 << 10, Location::local_dram());
-        let dst = rt.alloc(16 << 10, Location::local_dram());
-        rt.fill_random(&src);
-        let mut cb = CbdmaBackend::new(4);
-        let c = cb.run(&mut rt, &OffloadRequest::memcpy(&src, &dst)).unwrap();
-        assert_eq!(rt.read(&src).unwrap(), rt.read(&dst).unwrap());
-
-        let mut rt2 = DsaRuntime::spr_default();
-        let src2 = rt2.alloc(16 << 10, Location::local_dram());
-        let dst2 = rt2.alloc(16 << 10, Location::local_dram());
-        let d2 = Job::memcpy(&src2, &dst2).execute(&mut rt2).unwrap().elapsed();
-        assert!(c.elapsed > d2, "CBDMA {:?} should be slower than DSA {:?}", c.elapsed, d2);
     }
 }

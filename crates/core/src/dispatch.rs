@@ -431,31 +431,6 @@ impl Dispatcher {
         Ok(rt.now().duration_since(start))
     }
 
-    /// Executes every remaining instruction of a compiled
-    /// [`OpProgram`](crate::program::OpProgram) through the dispatcher's
-    /// placement policy: each instruction becomes a backend-neutral
-    /// request, so a compiled memcpy can still land on the CPU when the
-    /// estimates say offload would lose. Returns how many instructions
-    /// executed.
-    ///
-    /// # Errors
-    ///
-    /// Stops at and propagates the first failure; the program counter has
-    /// already advanced past the failing instruction.
-    pub fn run_program(
-        &mut self,
-        rt: &mut DsaRuntime,
-        prog: &mut crate::program::OpProgram,
-    ) -> Result<u64, DsaError> {
-        let mut n = 0;
-        while let Some(i) = prog.fetch() {
-            let req = i.offload_request();
-            self.execute(rt, &req)?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
     /// Reaps completed operations and, when the window is at depth, blocks
     /// on the oldest outstanding ticket — shared between the async submit
     /// path and burst submission so both obey the configured depth.

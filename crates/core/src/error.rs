@@ -1,15 +1,12 @@
 //! The crate-wide error type.
 //!
 //! [`DsaError`] is what every fallible path in the user-facing library
-//! returns: job execution, backend dispatch, the CBDMA baseline, and the
-//! multi-tenant service layer all converge here instead of panicking on
-//! the hot path. The enum is `#[non_exhaustive]`: downstream matches must
-//! carry a wildcard arm, which lets later PRs add failure modes without a
-//! breaking release.
+//! returns: job execution, backend dispatch, and the multi-tenant service
+//! layer all converge here instead of panicking on the hot path. The enum
+//! is `#[non_exhaustive]`: downstream matches must carry a wildcard arm,
+//! which lets later versions add failure modes without a breaking release.
 
-use dsa_device::cbdma::CbdmaError;
 use dsa_device::config::ConfigError;
-use dsa_device::descriptor::DescriptorError;
 use dsa_device::device::SubmitError;
 use dsa_sim::time::SimTime;
 
@@ -28,9 +25,6 @@ pub enum DsaError {
         /// Offending index.
         device: usize,
     },
-    /// The CBDMA baseline rejected the operation (unpinned range, bad
-    /// channel, or bad address).
-    Cbdma(CbdmaError),
     /// A bounded retry budget was exhausted without the WQ accepting the
     /// submission (service-layer back-pressure; the caller should shed or
     /// degrade the request).
@@ -46,10 +40,6 @@ pub enum DsaError {
     /// A device configuration violated the hardware envelope (surfaced by
     /// [`AccelConfig::build`](crate::config::AccelConfig::build)).
     InvalidConfig(ConfigError),
-    /// A compiled op-program instruction produced a descriptor that fails
-    /// spec conformance (surfaced at `prepare()` time, before any
-    /// submission is attempted).
-    Descriptor(DescriptorError),
     /// A service- or fleet-level configuration failed builder validation
     /// (surfaced by `ServiceConfig::builder()` / `FleetConfig::builder()`
     /// in `dsa-svc` before any runtime is constructed).
@@ -64,7 +54,6 @@ impl std::fmt::Display for DsaError {
         match self {
             DsaError::Submit(e) => write!(f, "submission failed: {e}"),
             DsaError::UnknownDevice { device } => write!(f, "unknown device {device}"),
-            DsaError::Cbdma(e) => write!(f, "cbdma: {e}"),
             DsaError::RetryExhausted { attempts } => {
                 write!(f, "retry budget exhausted after {attempts} attempts")
             }
@@ -72,7 +61,6 @@ impl std::fmt::Display for DsaError {
                 write!(f, "deadline {deadline} exceeded")
             }
             DsaError::InvalidConfig(e) => write!(f, "invalid device configuration: {e}"),
-            DsaError::Descriptor(e) => write!(f, "invalid descriptor: {e}"),
             DsaError::InvalidService { reason } => {
                 write!(f, "invalid service configuration: {reason}")
             }
@@ -84,9 +72,7 @@ impl std::error::Error for DsaError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DsaError::Submit(e) => Some(e),
-            DsaError::Cbdma(e) => Some(e),
             DsaError::InvalidConfig(e) => Some(e),
-            DsaError::Descriptor(e) => Some(e),
             _ => None,
         }
     }
@@ -98,21 +84,9 @@ impl From<SubmitError> for DsaError {
     }
 }
 
-impl From<CbdmaError> for DsaError {
-    fn from(e: CbdmaError) -> DsaError {
-        DsaError::Cbdma(e)
-    }
-}
-
 impl From<ConfigError> for DsaError {
     fn from(e: ConfigError) -> DsaError {
         DsaError::InvalidConfig(e)
-    }
-}
-
-impl From<DescriptorError> for DsaError {
-    fn from(e: DescriptorError) -> DsaError {
-        DsaError::Descriptor(e)
     }
 }
 

@@ -125,23 +125,6 @@ impl Job {
         Job { desc, device: 0, wq: 0, wait: WaitMethod::SpinPoll, amortized: true }
     }
 
-    /// A job over one compiled op-program instruction: the descriptor is
-    /// rebuilt on the stack (no heap traffic) and the instruction's
-    /// placement applied. The per-attempt primitive behind
-    /// [`OpProgram`](crate::program::OpProgram) replay and the service
-    /// layer's retry loop.
-    pub fn from_instr(i: &crate::program::OpInstr) -> Job {
-        let mut desc = Descriptor::nop();
-        i.write_into(&mut desc);
-        Job {
-            desc,
-            device: i.device as usize,
-            wq: i.wq as usize,
-            wait: WaitMethod::SpinPoll,
-            amortized: true,
-        }
-    }
-
     /// A no-op descriptor (useful for probing offload overheads).
     pub fn nop() -> Job {
         Job::from_descriptor(Descriptor::nop())
@@ -611,14 +594,6 @@ impl Batch {
         self
     }
 
-    /// Adds a compiled op-program instruction's descriptor to the batch
-    /// (the instruction's placement is ignored; the batch's own
-    /// device/WQ targeting applies).
-    pub fn push_instr(&mut self, i: &crate::program::OpInstr) -> &mut Batch {
-        self.descs.push(i.descriptor());
-        self
-    }
-
     /// Number of descriptors queued.
     pub fn len(&self) -> usize {
         self.descs.len()
@@ -692,37 +667,14 @@ impl Batch {
     /// # Errors
     ///
     /// Propagates submission failures.
-    pub fn execute(mut self, rt: &mut DsaRuntime) -> Result<BatchReport, DsaError> {
-        if self.device >= rt.device_count() {
-            return Err(DsaError::UnknownDevice { device: self.device });
-        }
-        if self.cache_control {
-            for d in &mut self.descs {
-                *d = d.clone().with_cache_control();
-            }
-        }
+    pub fn execute(self, rt: &mut DsaRuntime) -> Result<BatchReport, DsaError> {
         let started = rt.now();
-        rt.advance(DESC_PREPARE.saturating_mul(self.descs.len() as u64));
-        // One descriptor-list allocation, assumed pre-allocated (amortized).
-        let list = rt.alloc(64 * self.descs.len() as u64, dsa_mem::buffer::Location::local_dram());
-        let method_cost = SubmitMethod::Movdir64b.core_cost();
-        rt.advance(method_cost);
-        let batch = BatchDescriptor::new(list.addr(), self.descs.len() as u32);
-        let exec = loop {
-            let now = rt.now();
-            let (dev, memory, memsys) = rt.parts(self.device);
-            match dev.submit_batch(memory, memsys, WqId(self.wq), &batch, &self.descs, now) {
-                Ok(exec) => break exec,
-                Err(SubmitError::WqFull { retry_at }) => rt.advance_to(retry_at),
-                Err(e) => return Err(e.into()),
-            }
-        };
-        self.note_batch_trace(rt, started, &exec);
-        let w = WaitMethod::SpinPoll.wait(rt.now(), exec.completed);
+        let h = self.submit(rt)?;
+        let w = WaitMethod::SpinPoll.wait(rt.now(), h.completion_time());
         rt.advance_to(w.observed_at);
         Ok(BatchReport {
-            records: exec.records,
-            batch_record: exec.batch_record,
+            records: h.records,
+            batch_record: h.batch_record,
             started,
             finished: rt.now(),
         })

@@ -9,10 +9,10 @@
 //! | DML (Data Mover Library) | [`job::Job`], [`job::Batch`], [`job::AsyncQueue`] |
 //! | `MOVDIR64B`/`ENQCMD`/`UMWAIT` | [`submit`] — submission & wait models |
 //! | Guidelines G1–G6    | [`guidelines`] — executable advisors            |
-//! | Offload runtimes (DML backends) | [`backend`] — CPU/DSA/CBDMA behind one trait |
+//! | Offload runtimes (DML backends) | [`backend`] — CPU/DSA behind one trait |
 //! | G1–G3 as live policy | [`dispatch::Dispatcher`] — per-call backend routing |
 //! | DTO (transparent offload) | [`dispatch::DispatchPolicy::Threshold`] — threshold-routed `mem*` calls |
-//! | Pre-allocated descriptors (Fig. 5) | [`program::OpProgram`] — compiled, allocation-free op replay |
+//! | Pre-allocated descriptors (Fig. 5) | [`job::Job::count_alloc`] — off by default, so no allocation cost is charged |
 //! | Replay verification  | [`digest::Fnv1a`] / [`digest::Digestible`] — the one FNV-1a digest primitive |
 //!
 //! Everything runs against a [`runtime::DsaRuntime`]: the simulated SPR
@@ -47,21 +47,19 @@ pub mod dispatch;
 pub mod error;
 pub mod guidelines;
 pub mod job;
-pub mod program;
 pub mod runtime;
 pub mod submit;
 
 /// The types most programs need.
 pub mod prelude {
     pub use crate::backend::{
-        CbdmaBackend, CpuBackend, DsaBackend, Engine, OffloadBackend, OffloadRequest, PoolPolicy,
+        CpuBackend, DsaBackend, Engine, OffloadBackend, OffloadRequest, PoolPolicy,
     };
     pub use crate::config::AccelConfig;
     pub use crate::digest::{Digestible, Fnv1a};
     pub use crate::dispatch::{Decision, DispatchPolicy, DispatchStats, Dispatcher};
     pub use crate::error::DsaError;
     pub use crate::job::{AsyncQueue, Batch, Job, JobReport};
-    pub use crate::program::{OpInstr, OpProgram, ProgramBuilder};
     pub use crate::runtime::{DsaRuntime, RuntimeBuilder};
     pub use crate::submit::{SubmitMethod, WaitMethod};
     pub use dsa_device::descriptor::Status;
@@ -69,5 +67,4 @@ pub mod prelude {
 
 pub use error::DsaError;
 pub use job::{AsyncQueue, Batch, Job, JobHandle, JobReport};
-pub use program::{OpInstr, OpProgram, ProgramBuilder};
 pub use runtime::DsaRuntime;

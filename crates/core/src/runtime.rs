@@ -204,13 +204,6 @@ impl DsaRuntime {
         (&mut self.devices[dev], &mut self.memory, &mut self.memsys)
     }
 
-    /// Destructured mutable access to the byte store and timing model
-    /// together, for external device models (e.g. the CBDMA backend) whose
-    /// submission paths need both at once.
-    pub fn mem_parts(&mut self) -> (&mut Memory, &mut MemSystem) {
-        (&mut self.memory, &mut self.memsys)
-    }
-
     /// The byte store.
     pub fn memory(&self) -> &Memory {
         &self.memory

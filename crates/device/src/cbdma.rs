@@ -111,15 +111,6 @@ impl CbdmaDevice {
         &self.timing
     }
 
-    /// The earliest instant `channel` could begin a new transfer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `channel` is out of range.
-    pub fn channel_next_free(&self, channel: usize) -> SimTime {
-        self.channels[channel].next_free()
-    }
-
     /// Registers `[addr, addr+len)` as pinned (the `get_user_pages`-style
     /// setup CBDMA required).
     pub fn pin(&mut self, addr: u64, len: u64) {

@@ -153,14 +153,6 @@ impl Flags {
     pub fn bits(self) -> u32 {
         self.0
     }
-
-    /// Rebuilds a flag set from raw bits (inverse of [`bits`](Self::bits)).
-    /// Total: unknown bits are carried verbatim and rejected later by
-    /// [`Descriptor::validate`], matching how the portal treats the wire
-    /// dword.
-    pub fn from_bits(bits: u32) -> Flags {
-        Flags(bits)
-    }
 }
 
 impl std::ops::BitOr for Flags {
@@ -339,51 +331,16 @@ pub struct Descriptor {
 
 impl Descriptor {
     /// The base shape every constructor builds on: completion requested,
-    /// operation-specific fields filled in by the caller. Routes through
-    /// [`rebuild`](Self::rebuild) so a pooled slot overwritten in place is
-    /// field-for-field identical to a freshly constructed descriptor.
+    /// operation-specific fields filled in by the caller.
     fn base(opcode: Opcode, src: u64, dst: u64, len: u32, params: OpParams) -> Descriptor {
-        let mut d = Descriptor {
-            opcode: Opcode::Nop,
-            flags: Flags::empty(),
-            src: 0,
-            dst: 0,
-            xfer_size: 0,
+        Descriptor {
+            opcode,
+            flags: Flags::REQUEST_COMPLETION,
+            src,
+            dst,
+            xfer_size: len,
             completion_addr: 0,
-            params: OpParams::None,
-        };
-        d.rebuild(opcode, src, dst, len, params);
-        d
-    }
-
-    /// Overwrites every field in place — the zero-allocation counterpart of
-    /// the constructors, used by op-program interpreters to refill one
-    /// pooled descriptor slot per step. Flags reset to the constructor
-    /// default (completion requested) and the completion address clears, so
-    /// no state leaks from the slot's previous occupant.
-    pub fn rebuild(&mut self, opcode: Opcode, src: u64, dst: u64, len: u32, params: OpParams) {
-        self.opcode = opcode;
-        self.flags = Flags::REQUEST_COMPLETION;
-        self.src = src;
-        self.dst = dst;
-        self.xfer_size = len;
-        self.completion_addr = 0;
-        self.params = params;
-    }
-
-    /// In-place counterpart of [`with_cache_control`](Self::with_cache_control)
-    /// for pooled slots: sets (never clears) the cache-control flag when
-    /// `on` is true.
-    pub fn set_cache_control(&mut self, on: bool) {
-        if on {
-            self.flags = self.flags | Flags::CACHE_CONTROL;
-        }
-    }
-
-    /// In-place counterpart of [`with_block_on_fault`](Self::with_block_on_fault).
-    pub fn set_block_on_fault(&mut self, on: bool) {
-        if on {
-            self.flags = self.flags | Flags::BLOCK_ON_FAULT;
+            params,
         }
     }
 
@@ -936,62 +893,6 @@ mod tests {
         let r = CompletionRecord::success(4096);
         assert_eq!(r.bytes_completed, 4096);
         assert_eq!(r.status, Status::Success);
-    }
-
-    #[test]
-    fn flags_bits_roundtrip() {
-        let f = Flags::REQUEST_COMPLETION | Flags::CACHE_CONTROL | Flags::FENCE;
-        assert_eq!(Flags::from_bits(f.bits()), f);
-        assert_eq!(Flags::from_bits(0), Flags::empty());
-    }
-
-    /// Rebuilding a dirty pooled slot must be indistinguishable from
-    /// constructing fresh — same fields, same 64-byte wire image — for
-    /// every constructor shape. Digest bit-identity across the compiled
-    /// op-program path rides on this.
-    #[test]
-    fn rebuild_matches_every_constructor() {
-        let cfg =
-            DifConfig { block: dsa_ops::dif::DifBlockSize::B520, app_tag: 7, starting_ref_tag: 99 };
-        let fresh = [
-            Descriptor::nop(),
-            Descriptor::drain(),
-            Descriptor::memmove(0x1000, 0x2000, 4096),
-            Descriptor::fill(0x1000, 4096, 0xAB),
-            Descriptor::compare(0x1000, 0x2000, 4096),
-            Descriptor::compare_pattern(0x1000, 4096, 0xCD),
-            Descriptor::crc_gen(0x1000, 4096),
-            Descriptor::copy_crc(0x1000, 0x2000, 4096),
-            Descriptor::dualcast(0x1000, 0x2000, 0x4000, 4096),
-            Descriptor::delta_create(0x1000, 0x2000, 4096, 0x3000, 1024),
-            Descriptor::delta_apply(0x3000, 256, 0x2000, 4096),
-            Descriptor::dif_insert(0x1000, 0x2000, 520, cfg),
-            Descriptor::cache_flush(0x1000, 4096),
-        ];
-        // The slot starts maximally dirty: every field set, extra flags,
-        // a completion address, and rich params.
-        for want in fresh {
-            let mut slot = Descriptor::dualcast(1, 2, 0x9000, 64)
-                .with_cache_control()
-                .with_completion_addr(0x20);
-            slot.rebuild(want.opcode, want.src, want.dst, want.xfer_size, want.params.clone());
-            assert_eq!(slot, want, "{:?}", want.opcode);
-            assert_eq!(slot.to_bytes(), want.to_bytes());
-        }
-    }
-
-    #[test]
-    fn set_flags_match_by_value_builders() {
-        let by_value = Descriptor::memmove(1, 2, 64).with_cache_control().with_block_on_fault();
-        let mut in_place = Descriptor::memmove(1, 2, 64);
-        in_place.set_cache_control(true);
-        in_place.set_block_on_fault(true);
-        assert_eq!(in_place, by_value);
-        // `false` is a no-op on the constructor default.
-        let mut plain = Descriptor::memmove(1, 2, 64);
-        plain.set_cache_control(false);
-        plain.set_block_on_fault(false);
-        assert_eq!(plain, Descriptor::memmove(1, 2, 64));
     }
 }
 

@@ -363,14 +363,6 @@ impl DsaDevice {
         &self.timing
     }
 
-    /// Device capabilities (transfer/batch limits) — what
-    /// [`Descriptor::validate`](crate::descriptor::Descriptor::validate)
-    /// checks against, exposed so submit-side program compilers can
-    /// validate once at prepare time instead of per submission.
-    pub fn caps(&self) -> &DeviceCaps {
-        &self.caps
-    }
-
     /// Telemetry counters.
     pub fn telemetry(&self) -> Telemetry {
         self.telemetry

@@ -402,15 +402,15 @@ fn rule_float_cast(
 }
 
 /// R5: no heap allocation in the designated hot-path modules (see
-/// [`in_hot_path`]). The op-program replay path and the per-descriptor
-/// kernels must run out of storage
-/// acquired up front — that is the property the counting-allocator tests
-/// pin at runtime, and this rule keeps allocating constructs from creeping
-/// in between audit runs. Flagged: `Box::new`, `Vec::new`, `vec![..]`,
-/// `.to_vec()`, `.clone()`. Sanctioned alternatives: `Vec::with_capacity`
-/// at construction, `clear()` + reuse, `Copy` types on the wire. One-time
-/// construction sites carry a pragma naming the invariant ("built once per
-/// program"), which doubles as documentation of where allocation *is* legal.
+/// [`in_hot_path`]). The service's action queue and the per-descriptor
+/// kernels must run out of storage acquired up front — the queue's half of
+/// that is what the counting-allocator test pins at runtime, and this rule
+/// keeps allocating constructs from creeping in between audit runs.
+/// Flagged: `Box::new`, `Vec::new`, `vec![..]`, `.to_vec()`, `.clone()`.
+/// Sanctioned alternatives: `Vec::with_capacity` at construction,
+/// `clear()` + reuse, `Copy` types on the wire. One-time construction
+/// sites carry a pragma naming the invariant ("built once per queue"),
+/// which doubles as documentation of where allocation *is* legal.
 fn rule_hot_alloc(
     path: &str,
     tokens: &[Token],
@@ -845,7 +845,7 @@ mod tests {
     fn r5_flags_alloc_in_hot_modules_only() {
         let src = "fn f(xs: &[u64]) -> u64 { let v = xs.to_vec(); let b = Box::new(v.clone()); \
                    let mut w = Vec::new(); w.push(b.len() as u64); vec![0u64].len() as u64 }\n";
-        let v = lint("crates/core/src/program.rs", src);
+        let v = lint("crates/svc/src/actionq.rs", src);
         assert_eq!(v.iter().filter(|v| v.rule == "hot-alloc").count(), 5, "{v:?}");
         // The same code one module over (not a designated hot path) is legal.
         assert!(lint("crates/core/src/dispatch.rs", src).is_empty());
@@ -856,14 +856,14 @@ mod tests {
     fn r5_exempts_tests_and_allows_with_capacity() {
         let src = "fn f(n: usize) -> Vec<u64> { Vec::with_capacity(n) }\n\
                    #[cfg(test)]\nmod tests {\n  fn g() -> Vec<u64> { vec![1, 2].to_vec() }\n}\n";
-        assert!(lint("crates/core/src/program.rs", src).is_empty());
+        assert!(lint("crates/svc/src/actionq.rs", src).is_empty());
     }
 
     #[test]
     fn r5_pragma_documents_one_time_construction() {
         let src = "fn f() -> Vec<u64> { Vec::new() } \
-                   // dsa-lint: allow(hot-alloc, arena built once per program)\n";
-        assert!(lint("crates/core/src/program.rs", src).is_empty());
+                   // dsa-lint: allow(hot-alloc, stamp table built once per queue)\n";
+        assert!(lint("crates/svc/src/actionq.rs", src).is_empty());
     }
 
     #[test]

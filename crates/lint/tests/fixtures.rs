@@ -75,7 +75,7 @@ fn bad_r4_raw_descriptor_literals_are_flagged() {
 
 #[test]
 fn bad_r5_hot_alloc_is_flagged_in_hot_modules_only() {
-    let v = lint_fixture("bad", "r5_hotalloc.rs", "crates/core/src/program.rs");
+    let v = lint_fixture("bad", "r5_hotalloc.rs", "crates/svc/src/actionq.rs");
     assert_eq!(
         rules_of(&v),
         vec!["hot-alloc", "hot-alloc", "hot-alloc", "hot-alloc", "hot-alloc"],
@@ -94,7 +94,7 @@ fn bad_r5_hot_alloc_is_flagged_in_hot_modules_only() {
 
 #[test]
 fn good_r5_pooled_shapes_pass_inside_the_hot_scope() {
-    for hot in ["crates/core/src/program.rs", "crates/ops/src/memops.rs", "crates/ops/src/crc32.rs"]
+    for hot in ["crates/svc/src/actionq.rs", "crates/ops/src/memops.rs", "crates/ops/src/crc32.rs"]
     {
         let v = lint_fixture("good", "r5_pooled.rs", hot);
         assert!(v.is_empty(), "{hot}: {v:?}");
@@ -116,7 +116,7 @@ fn all_five_rule_classes_fire_across_the_bad_corpus() {
         ("r2_unwrap.rs", "crates/device/src/fixture.rs"),
         ("r3_floatcast.rs", "crates/sim/src/fixture.rs"),
         ("r4_raw_descriptor.rs", "crates/core/src/fixture.rs"),
-        ("r5_hotalloc.rs", "crates/core/src/program.rs"),
+        ("r5_hotalloc.rs", "crates/svc/src/actionq.rs"),
     ] {
         for v in lint_fixture("bad", file, path) {
             seen.insert(v.rule);

@@ -22,14 +22,6 @@ pub struct BufferHandle {
 }
 
 impl BufferHandle {
-    /// A handle over an address range obtained elsewhere — e.g. decoded
-    /// back out of a compiled descriptor. Carries no liveness guarantee
-    /// beyond what the caller already holds; reads/writes through a stale
-    /// range fail at the `Memory` API like any bad address.
-    pub fn from_raw(addr: u64, len: u64) -> BufferHandle {
-        BufferHandle { base: addr, len }
-    }
-
     /// Starting virtual address.
     pub fn addr(&self) -> u64 {
         self.base

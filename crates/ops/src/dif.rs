@@ -35,25 +35,13 @@ impl DifBlockSize {
         }
     }
 
-    /// Stable 2-bit code for fixed-width encodings (descriptor wire
-    /// format, compiled op-program instruction words).
+    /// Stable 2-bit code for the descriptor wire format.
     pub const fn code(self) -> u8 {
         match self {
             DifBlockSize::B512 => 0,
             DifBlockSize::B520 => 1,
             DifBlockSize::B4096 => 2,
             DifBlockSize::B4104 => 3,
-        }
-    }
-
-    /// Inverse of [`code`](Self::code). Total: only the low 2 bits are
-    /// significant, so every input decodes to a valid block size.
-    pub const fn from_code(code: u8) -> DifBlockSize {
-        match code & 3 {
-            0 => DifBlockSize::B512,
-            1 => DifBlockSize::B520,
-            2 => DifBlockSize::B4096,
-            _ => DifBlockSize::B4104,
         }
     }
 }
@@ -159,25 +147,6 @@ impl DifConfig {
     /// A common default: 512-byte blocks, zero tags.
     pub fn new(block: DifBlockSize) -> DifConfig {
         DifConfig { block, app_tag: 0, starting_ref_tag: 0 }
-    }
-
-    /// Packs the config into one `u64` operand word for fixed-width
-    /// instruction encodings: bits 0-7 block code, 16-31 app tag,
-    /// 32-63 starting ref tag.
-    pub const fn pack(self) -> u64 {
-        (self.block.code() as u64)
-            | ((self.app_tag as u64) << 16)
-            | ((self.starting_ref_tag as u64) << 32)
-    }
-
-    /// Inverse of [`pack`](Self::pack). Total — every word decodes to a
-    /// valid config — so compiled programs never need a fallible decode.
-    pub const fn unpack(word: u64) -> DifConfig {
-        DifConfig {
-            block: DifBlockSize::from_code(word as u8),
-            app_tag: (word >> 16) as u16,
-            starting_ref_tag: (word >> 32) as u32,
-        }
     }
 }
 
@@ -322,29 +291,6 @@ mod tests {
     #[test]
     fn crc16_t10_check_value() {
         assert_eq!(crc16_t10(b"123456789"), 0xD0DB);
-    }
-
-    #[test]
-    fn dif_config_pack_roundtrips() {
-        for block in
-            [DifBlockSize::B512, DifBlockSize::B520, DifBlockSize::B4096, DifBlockSize::B4104]
-        {
-            for (app, rtag) in [(0u16, 0u32), (0xBEEF, 1), (7, u32::MAX), (u16::MAX, 0xDEAD_00FF)] {
-                let cfg = DifConfig { block, app_tag: app, starting_ref_tag: rtag };
-                assert_eq!(DifConfig::unpack(cfg.pack()), cfg);
-                assert_eq!(DifBlockSize::from_code(block.code()), block);
-            }
-        }
-    }
-
-    #[test]
-    fn dif_config_unpack_is_total() {
-        // Arbitrary garbage decodes to *some* valid config: the block code
-        // is masked to 2 bits and the tags take the word bits verbatim.
-        let cfg = DifConfig::unpack(u64::MAX);
-        assert_eq!(cfg.block, DifBlockSize::B4104);
-        assert_eq!(cfg.app_tag, u16::MAX);
-        assert_eq!(cfg.starting_ref_tag, u32::MAX);
     }
 
     #[test]

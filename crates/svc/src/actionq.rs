@@ -44,6 +44,7 @@ pub struct ActionQueue {
 impl ActionQueue {
     /// An empty queue sized for `tenants` tenant indices.
     pub fn with_tenants(tenants: usize) -> ActionQueue {
+        // dsa-lint: allow(hot-alloc, stamp table built once per queue)
         ActionQueue { heap: BinaryHeap::with_capacity(tenants), stamp: vec![0; tenants], seq: 0 }
     }
 

@@ -5,7 +5,7 @@
 //! A [`Fleet`] is built from a validated [`FleetConfig`] and a
 //! deterministic [`ShardPlan`]: each shard owns a contiguous tenant
 //! range, its own [`DsaService`] (hence its own `DsaRuntime` and
-//! calendar-queue action scheduler), and its own SplitMix64 stream seeded
+//! binary-heap action queue), and its own SplitMix64 stream seeded
 //! from the master seed in shard order. Shards share *nothing* — no
 //! atomics, no locks, no channels; the only cross-shard effects are the
 //! static platform adjustments the plan computes up front (DDIO-way

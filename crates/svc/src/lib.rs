@@ -72,8 +72,6 @@ pub mod tenant;
 pub use admission::TokenBucket;
 pub use arrival::Arrival;
 pub use fleet::{Fleet, FleetConfig, FleetReport, ShardReport, TenantProfile};
-#[allow(deprecated)]
-pub use plan::WqPlan;
 pub use plan::{
     Plan, PlanBuilder, PlanDelta, PlanGroup, PlanSpec, PlanWq, TransitionCosts, Wiring,
 };

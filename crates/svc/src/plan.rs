@@ -1,16 +1,14 @@
 //! First-class placement plans: validated, diffable, immutable WQ/group
-//! layouts replacing the old `WqPlan` enum-variants-as-API.
+//! layouts.
 //!
-//! A [`Plan`] is the explicit object the old enum only hinted at: the
-//! group carve (engines and optional read-buffer allotment per group),
+//! A [`Plan`] is an explicit object: the group carve (engines and optional read-buffer allotment per group),
 //! the WQ layout (size, mode, owning group per WQ), and the tenant
 //! wiring (which WQ each tenant submits to). Plans are built through
 //! [`Plan::builder`] (validated against the DSA 1.0 envelope at
 //! `build()`, the same by-value idiom as
 //! [`AccelConfig::builder`](dsa_core::config::AccelConfig::builder)) or
 //! through the canonical recipes [`Plan::shared`], [`Plan::dedicated`],
-//! and [`Plan::by_class_of`], which reproduce the historical enum
-//! layouts bit-for-bit.
+//! and [`Plan::by_class_of`].
 //!
 //! Because a plan is now a value, transitions are too: [`Plan::diff`]
 //! yields a [`PlanDelta`] whose [`cost`](PlanDelta::cost) prices the
@@ -18,11 +16,9 @@
 //! the quantity the control plane's digital twin weighs against the
 //! projected SLO win.
 //!
-//! [`PlanSpec`] is the roster-polymorphic recipe used where the old enum
-//! was a config knob: `Dedicated`/`Shared`/`ByClass` materialize against
-//! the tenant roster at build time, `Fixed(plan)` pins an explicit
-//! layout. The deprecated [`WqPlan`] shims convert losslessly via
-//! `From<WqPlan> for PlanSpec` during migration.
+//! [`PlanSpec`] is the roster-polymorphic recipe a config takes:
+//! `Dedicated`/`Shared`/`ByClass` materialize against the tenant roster
+//! at build time, `Fixed(plan)` pins an explicit layout.
 
 use crate::tenant::{QosClass, TenantSpec};
 use dsa_core::config::AccelConfig;
@@ -141,8 +137,8 @@ impl Plan {
     /// latency tenants get dedicated WQs (half the entries, one engine
     /// per group, up to 3 groups), throughput tenants pool on one shared
     /// WQ behind the remaining engines. Falls back to the dedicated
-    /// (all-latency) or shared (all-throughput) layout — still labelled
-    /// `by-class` — exactly as the old enum did.
+    /// (all-latency) or shared (all-throughput) layout, still labelled
+    /// `by-class`.
     ///
     /// # Errors
     ///
@@ -560,8 +556,7 @@ impl Default for TransitionCosts {
     }
 }
 
-/// A roster-polymorphic plan recipe: what the old `WqPlan` enum was,
-/// made explicit. Config builders take `impl Into<PlanSpec>` so both a
+/// A roster-polymorphic plan recipe. Config builders take `impl Into<PlanSpec>` so both a
 /// recipe and a concrete [`Plan`] read naturally at the call site.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum PlanSpec {
@@ -608,64 +603,6 @@ impl PlanSpec {
 impl From<Plan> for PlanSpec {
     fn from(plan: Plan) -> PlanSpec {
         PlanSpec::Fixed(plan)
-    }
-}
-
-/// How tenants are mapped onto the device's work queues.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `PlanSpec` (roster recipes) or `Plan::builder()` (explicit layouts)"
-)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WqPlan {
-    /// One dedicated WQ per tenant — use [`PlanSpec::Dedicated`].
-    DedicatedPerTenant,
-    /// One shared 128-entry WQ — use [`PlanSpec::Shared`].
-    SharedAll,
-    /// QoS placement by tenant class — use [`PlanSpec::ByClass`].
-    ByClass,
-}
-
-#[allow(deprecated)]
-impl WqPlan {
-    /// Short lowercase label for tables and digests.
-    pub fn label(self) -> &'static str {
-        match self {
-            WqPlan::DedicatedPerTenant => "dedicated",
-            WqPlan::SharedAll => "shared",
-            WqPlan::ByClass => "by-class",
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<WqPlan> for PlanSpec {
-    fn from(plan: WqPlan) -> PlanSpec {
-        match plan {
-            WqPlan::DedicatedPerTenant => PlanSpec::Dedicated,
-            WqPlan::SharedAll => PlanSpec::Shared,
-            WqPlan::ByClass => PlanSpec::ByClass,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl TryFrom<WqPlan> for Plan {
-    type Error = DsaError;
-
-    /// Converts the roster-independent variant directly; the
-    /// roster-dependent recipes must go through
-    /// [`PlanSpec::materialize`].
-    fn try_from(plan: WqPlan) -> Result<Plan, DsaError> {
-        match plan {
-            WqPlan::SharedAll => Plan::shared(),
-            WqPlan::DedicatedPerTenant | WqPlan::ByClass => Err(DsaError::InvalidService {
-                reason: format!(
-                    "WqPlan::{plan:?} depends on the tenant roster; \
-                     materialize it through PlanSpec instead"
-                ),
-            }),
-        }
     }
 }
 
@@ -800,16 +737,6 @@ mod tests {
         );
         let fixed = PlanSpec::Fixed(by_class.clone());
         assert_eq!(fixed.materialize(&[]).unwrap(), by_class);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn wq_plan_shims_convert() {
-        assert_eq!(PlanSpec::from(WqPlan::SharedAll), PlanSpec::Shared);
-        assert_eq!(PlanSpec::from(WqPlan::DedicatedPerTenant), PlanSpec::Dedicated);
-        assert_eq!(PlanSpec::from(WqPlan::ByClass), PlanSpec::ByClass);
-        assert_eq!(Plan::try_from(WqPlan::SharedAll).unwrap(), Plan::shared().unwrap());
-        assert!(Plan::try_from(WqPlan::ByClass).is_err(), "roster-dependent recipe");
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! next admissible action is earliest on the simulated timeline (ties
 //! break by scheduling order in the [`ActionQueue`], itself deterministic).
 //! A tenant's next-action instant depends only on its own state, so the
-//! service maintains it in a calendar-queue-backed action queue instead of
-//! rescanning all tenants per job — O(1) amortized per step, which is what
-//! lets one shard of the fleet layer carry thousands of tenants.
+//! service keeps it in a binary-heap action queue instead of rescanning
+//! all tenants per job — O(log T) per step, which is what lets one shard
+//! of the fleet layer carry thousands of tenants.
 //! Per-tenant randomness comes from [`SplitMix64`] streams split off one
 //! master seed. Two services built from the same config therefore replay
 //! bit-identically — [`ServiceReport::digest`] makes that checkable in one
@@ -24,10 +24,8 @@ use crate::tenant::{QosClass, TenantReport, TenantSpec, TenantStats};
 use dsa_core::digest::{Digestible, Fnv1a};
 use dsa_core::error::DsaError;
 use dsa_core::job::Job;
-use dsa_core::program::OpInstr;
 use dsa_core::runtime::DsaRuntime;
 use dsa_core::submit::InflightWindow;
-use dsa_device::descriptor::Descriptor;
 use dsa_device::device::SubmitError;
 use dsa_mem::buffer::Location;
 use dsa_mem::memory::BufferHandle;
@@ -96,9 +94,8 @@ pub struct ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// Sets the placement plan: a [`PlanSpec`] recipe, a concrete
-    /// [`Plan`] (via `Plan -> PlanSpec`), or a deprecated `WqPlan`
-    /// variant during migration.
+    /// Sets the placement plan: a [`PlanSpec`] recipe or a concrete
+    /// [`Plan`] (via `Plan -> PlanSpec`).
     pub fn plan(mut self, plan: impl Into<PlanSpec>) -> ServiceBuilder {
         self.plan = plan.into();
         self
@@ -207,10 +204,6 @@ struct TenantState {
     window: InflightWindow<u64>,
     src: BufferHandle,
     dst: BufferHandle,
-    /// The tenant's steady-state copy, compiled once at service build:
-    /// every submission attempt rebuilds a stack descriptor from this
-    /// fixed-width instruction instead of cloning a `Job` per attempt.
-    instr: OpInstr,
     /// Tenant-local core clock: the submitting context is busy until here.
     cursor: SimTime,
     /// Arrival instant of the next job in the stream.
@@ -308,21 +301,12 @@ impl DsaService {
             let base = SimTime::ZERO + spec.start;
             let first =
                 if spec.arrival.is_open() { base + spec.arrival.gap(&mut rng) } else { base };
-            // Compile the tenant's steady-state op once (placement + the
-            // same descriptor `Job::memcpy(...).on_wq(wq)` would build),
-            // so the retry loop below allocates nothing per attempt.
-            let instr = OpInstr::from_descriptor(
-                &Descriptor::memmove(src.addr(), dst.addr(), spec.xfer as u32),
-                0,
-                wqs[i] as u16,
-            );
             tenants.push(TenantState {
                 wq: wqs[i],
                 bucket: TokenBucket::new(spec.rate, spec.burst),
                 window: InflightWindow::new(spec.max_outstanding.max(1)),
                 src,
                 dst,
-                instr,
                 rng,
                 cursor: SimTime::ZERO,
                 next_arrival: first,
@@ -503,11 +487,6 @@ impl DsaService {
             if assign[i] != t.wq {
                 t.stats.migrations += 1;
                 t.wq = assign[i];
-                t.instr = OpInstr::from_descriptor(
-                    &Descriptor::memmove(t.src.addr(), t.dst.addr(), t.spec.xfer as u32),
-                    0,
-                    t.wq as u16,
-                );
             }
             t.cursor = t.cursor.max(ready);
             while t.window.pop_completed(ready).is_some() {}
@@ -595,10 +574,9 @@ impl DsaService {
         }
         let mut attempts: u32 = 0;
         let submitted = loop {
-            // Rebuild the job from the compiled instruction per attempt:
-            // identical descriptor to the old `job.clone()` path, zero
-            // heap traffic.
-            match Job::from_instr(&t.instr).try_submit(rt) {
+            // A `Job` holds no heap data, so building one per attempt
+            // allocates nothing.
+            match Job::memcpy(&t.src, &t.dst).on_wq(t.wq).try_submit(rt) {
                 Ok(h) => break Ok(h),
                 Err(DsaError::Submit(SubmitError::WqFull { .. })) => {
                     attempts += 1;

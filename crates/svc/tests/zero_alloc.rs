@@ -1,18 +1,26 @@
-//! Steady-state allocation audit of the service's action queue.
+//! Steady-state allocation audit of the service's action queue and of
+//! building its submission jobs.
 //!
-//! The queue's zero-allocation hot path is a *measured* property, not a
-//! comment: this binary installs a counting global allocator and asserts
-//! that once an [`ActionQueue`] has warmed up, tens of thousands of
-//! further pop/peek/re-schedule rounds — the service loop's pattern —
-//! touch the heap exactly zero times. It audits the queue only, not
-//! `DsaService::step` as a whole.
+//! Both zero-allocation properties are *measured*, not comments: this
+//! binary installs a counting global allocator and asserts that once an
+//! [`ActionQueue`] has warmed up, tens of thousands of further
+//! pop/peek/re-schedule rounds — the service loop's pattern — touch the
+//! heap exactly zero times, and that building a tenant's `Job::memcpy` and
+//! validating its descriptor does not either. It audits those two pieces
+//! only, not `DsaService::step` as a whole (device execution keeps its own
+//! records per submission).
 //!
 //! One `#[test]` only: the counter is process-global, so a second parallel
 //! test would count its own allocations into ours.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use dsa_core::job::Job;
+use dsa_core::runtime::DsaRuntime;
+use dsa_device::config::DeviceCaps;
+use dsa_mem::buffer::Location;
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::time::{SimDuration, SimTime};
 use dsa_svc::actionq::ActionQueue;
@@ -63,6 +71,11 @@ fn round(q: &mut ActionQueue, rng: &mut SplitMix64, n: u64) {
 
 #[test]
 fn action_queue_steady_state_is_allocation_free() {
+    // All set-up allocation happens before either audit window opens.
+    let mut rt = DsaRuntime::spr_default();
+    let src = rt.alloc(4096, Location::local_dram());
+    let dst = rt.alloc(4096, Location::local_dram());
+    let caps = DeviceCaps::dsa1();
     let mut q = ActionQueue::with_tenants(TENANTS);
     let mut rng = SplitMix64::new(0xA110_C8ED);
     for tenant in 0..TENANTS {
@@ -85,4 +98,20 @@ fn action_queue_steady_state_is_allocation_free() {
         after - before
     );
     assert_eq!(q.len(), TENANTS, "one live entry per tenant, no stale build-up");
+
+    // Each submission attempt builds the tenant's job afresh: a stack
+    // descriptor on the tenant's WQ, validated against the device caps.
+    let before = HEAP_OPS.load(Ordering::SeqCst);
+    for _ in 0..50_000 {
+        let job = Job::memcpy(&src, &dst).on_wq(1);
+        assert_eq!(job.descriptor().validate(&caps), Ok(()));
+        black_box(job);
+    }
+    let after = HEAP_OPS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "{} heap allocation(s) building 50000 submission jobs",
+        after - before
+    );
 }

@@ -11,9 +11,7 @@
 //!   reconcile with the six device [`Phase`]s.
 //! * [`CritPathProfile`] aggregates traces per (tenant, device, WQ) into
 //!   p50/p99/p999 attributed breakdowns with dominant-bottleneck
-//!   classification; [`blame_shifts`] flags sweep points where the
-//!   dominant segment changes hands (the Fig. 4/7 crossovers, e.g.
-//!   WQ-wait overtaking PE service as fan-out grows).
+//!   classification.
 //!
 //! Everything here is deterministic and replay-safe: IDs derive from an
 //! insertion-order counter, containers are
@@ -385,37 +383,6 @@ impl CritPathProfile {
     }
 }
 
-/// One detected blame shift across a parameter sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct BlameShift {
-    /// Index into the sweep slice where the dominant segment changed
-    /// (the shift happened between `at - 1` and `at`).
-    pub at: usize,
-    /// Dominant segment before the shift.
-    pub prev: SegmentKind,
-    /// Dominant segment from this sweep point on.
-    pub now: SegmentKind,
-}
-
-/// Scans an ordered sweep of profiles (e.g. one per fan-out setting) and
-/// reports every point where the overall dominant segment changes hands —
-/// the paper's Fig. 4/7 crossovers, detected rather than eyeballed.
-/// Profiles with no recorded jobs are skipped.
-pub fn blame_shifts(sweep: &[CritPathProfile]) -> Vec<BlameShift> {
-    let mut shifts = Vec::new();
-    let mut prev: Option<SegmentKind> = None;
-    for (at, profile) in sweep.iter().enumerate() {
-        let Some(now) = profile.overall_dominant() else { continue };
-        if let Some(prev) = prev {
-            if prev != now {
-                shifts.push(BlameShift { at, prev, now });
-            }
-        }
-        prev = Some(now);
-    }
-    shifts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,29 +470,6 @@ mod tests {
         // Shares sum to ~1.
         let share_sum: f64 = overall.segments.iter().map(|s| s.share).sum();
         assert!((share_sum - 1.0).abs() < 1e-12, "shares sum to 1, got {share_sum}");
-    }
-
-    #[test]
-    fn blame_shift_detector_finds_the_crossover() {
-        let mem_bound = || {
-            let mut p = CritPathProfile::new();
-            p.record(&trace([0, 10, 20, 30, 500, 510]));
-            p
-        };
-        let queue_bound = || {
-            let mut p = CritPathProfile::new();
-            p.record(&trace([0, 10, 700, 710, 900, 910]));
-            p
-        };
-        let sweep = vec![mem_bound(), mem_bound(), queue_bound(), queue_bound()];
-        let shifts = blame_shifts(&sweep);
-        assert_eq!(
-            shifts,
-            vec![BlameShift { at: 2, prev: SegmentKind::MemoryHop, now: SegmentKind::WqWait }]
-        );
-        // Empty profiles are skipped, not treated as shifts.
-        let sweep = vec![mem_bound(), CritPathProfile::new(), mem_bound()];
-        assert!(blame_shifts(&sweep).is_empty());
     }
 
     #[test]

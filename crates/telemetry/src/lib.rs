@@ -16,8 +16,8 @@
 //!   (p50/p90/p99/p999) keyed by device/WQ/PE labels, plus utilization
 //!   time series (WQ depth, PE occupancy).
 //! * [`causal`] — critical-path attribution: per-job critical paths
-//!   attributed to typed segments, and per-tenant/WQ [`CritPathProfile`] breakdowns with
-//!   blame-shift detection across sweeps.
+//!   attributed to typed segments, and per-tenant/WQ [`CritPathProfile`]
+//!   breakdowns.
 //! * [`window`] — delta views over the hub ([`HubWindow`]): per-epoch
 //!   counter growth and histogram windows, the observation primitive the
 //!   `dsa-ctl` control loop reads instead of cumulative totals.
@@ -33,9 +33,7 @@ pub mod metrics;
 pub mod span;
 pub mod window;
 
-pub use causal::{
-    blame_shifts, BlameShift, Breakdown, CritPathProfile, JobTrace, SegmentKind, SegmentStat,
-};
+pub use causal::{Breakdown, CritPathProfile, JobTrace, SegmentKind, SegmentStat};
 pub use export::{chrome_trace_json, folded_stacks, metrics_csv, pcm_dashboard};
 pub use hub::Hub;
 pub use metrics::{Labels, Metric, Metrics};

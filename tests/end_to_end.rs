@@ -187,6 +187,40 @@ fn icx_platform_runs_the_same_stack() {
 }
 
 #[test]
+fn cbdma_copies_and_costs_more_than_dsa() {
+    // §4.2 baseline: the same 16 KiB copy on one ICX CBDMA (pinned
+    // buffers, ring-fetched descriptor) and as a DSA job.
+    use dsa_device::cbdma::CbdmaDevice;
+    use dsa_device::timing::CbdmaTiming;
+    use dsa_mem::memory::Memory;
+    use dsa_mem::memsys::MemSystem;
+    use dsa_sim::SimTime;
+
+    let len = 16 << 10;
+    let mut memory = Memory::new();
+    let mut memsys = MemSystem::new(Platform::spr());
+    let src = memory.alloc(len, Location::local_dram());
+    let dst = memory.alloc(len, Location::local_dram());
+    for (i, b) in memory.read_mut(src.addr(), len).unwrap().iter_mut().enumerate() {
+        *b = (i * 31) as u8;
+    }
+    let mut cbdma = CbdmaDevice::new(0, 4, CbdmaTiming::icx());
+    cbdma.pin(src.addr(), len);
+    cbdma.pin(dst.addr(), len);
+    let exec = cbdma
+        .submit_copy(&mut memory, &mut memsys, 0, src.addr(), dst.addr(), len, SimTime::ZERO)
+        .unwrap();
+    assert_eq!(memory.read(src.addr(), len).unwrap(), memory.read(dst.addr(), len).unwrap());
+    let cb = exec.completed.duration_since(SimTime::ZERO);
+
+    let mut rt = DsaRuntime::spr_default();
+    let src = rt.alloc(len, Location::local_dram());
+    let dst = rt.alloc(len, Location::local_dram());
+    let dsa = Job::memcpy(&src, &dst).execute(&mut rt).unwrap().elapsed();
+    assert!(cb > dsa, "CBDMA {cb:?} should be slower than DSA {dsa:?}");
+}
+
+#[test]
 fn completion_record_lands_in_memory_for_polling() {
     // The real synchronization mechanism: software allocates a completion
     // record, points the descriptor at it, and polls/UMONITORs the status
