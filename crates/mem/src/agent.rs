@@ -22,7 +22,7 @@ impl AgentId {
     /// Number of distinct agent slots (sizing for occupancy arrays).
     pub const SLOTS: usize = (NONE_SLOT + 1) as usize;
 
-    /// Sentinel for "no owner" (invalid cache entries).
+    /// Sentinel for "no owner".
     pub const NONE: AgentId = AgentId(NONE_SLOT);
 
     /// CPU core `n`.

@@ -65,15 +65,14 @@ pub struct AccessResult {
     pub evicted_other: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Entry {
-    tag: u64,
-    owner: AgentId,
-    last_use: u64,
-    valid: bool,
-}
-
-const INVALID: Entry = Entry { tag: 0, owner: AgentId::NONE, last_use: 0, valid: false };
+/// One LLC way: `(key, last_use, owner)`. `key` is `line + 1` of the line
+/// the way holds, or 0 when the way is invalid; `last_use` is the `tick`
+/// of its last use (LRU order); `owner` is the [`AgentId::slot`] of the
+/// agent that allocated it. A tuple of integers rather than a struct so
+/// that a cache of invalid ways is one zeroed allocation: a new cache
+/// pays only for the pages its accesses touch, not for writing an
+/// invalid marker into every way.
+type Way = (u64, u64, u16);
 
 /// The set-associative LLC.
 ///
@@ -90,7 +89,8 @@ const INVALID: Entry = Entry { tag: 0, owner: AgentId::NONE, last_use: 0, valid:
 /// ```
 #[derive(Clone, Debug)]
 pub struct Llc {
-    entries: Vec<Entry>,
+    /// Every way of every set, indexed `set * ways + way`.
+    entries: Vec<Way>,
     sets: u64,
     ways: u32,
     line_size: u64,
@@ -113,7 +113,7 @@ impl Llc {
         assert!(raw_sets >= 1, "cache too small for its geometry");
         let sets = 1u64 << (63 - raw_sets.leading_zeros());
         Llc {
-            entries: vec![INVALID; (sets * ways as u64) as usize],
+            entries: vec![(0, 0, 0); (sets * ways as u64) as usize],
             sets,
             ways,
             line_size,
@@ -144,8 +144,15 @@ impl Llc {
         h & (self.sets - 1)
     }
 
-    fn line_tag(&self, addr: u64) -> u64 {
-        addr / self.line_size
+    /// The nonzero key a way holds for the line containing `addr`.
+    fn line_key(&self, addr: u64) -> u64 {
+        addr / self.line_size + 1
+    }
+
+    /// The per-way indices of `addr`'s set.
+    fn set_range(&self, addr: u64) -> std::ops::Range<usize> {
+        let base = (self.set_index(addr) * self.ways as u64) as usize;
+        base..base + self.ways as usize
     }
 
     /// Performs one line-granular access.
@@ -157,26 +164,19 @@ impl Llc {
         mask: WayMask,
     ) -> AccessResult {
         self.tick += 1;
-        let set = self.set_index(addr);
-        let tag = self.line_tag(addr);
-        let base = (set * self.ways as u64) as usize;
-        let slots = &mut self.entries[base..base + self.ways as usize];
+        let key = self.line_key(addr);
+        let ways = self.set_range(addr);
 
         // Probe every way (data may live outside the allocation mask).
-        for e in slots.iter_mut() {
-            if e.valid && e.tag == tag {
-                match policy {
-                    AllocPolicy::NoAllocInvalidate => {
-                        e.valid = false;
-                        self.occupancy[e.owner.slot()] -= 1;
-                        return AccessResult { hit: true, evicted_other: false };
-                    }
-                    _ => {
-                        e.last_use = self.tick;
-                        return AccessResult { hit: true, evicted_other: false };
-                    }
+        if let Some(way) = self.entries[ways.clone()].iter_mut().find(|w| w.0 == key) {
+            match policy {
+                AllocPolicy::NoAllocInvalidate => {
+                    way.0 = 0;
+                    self.occupancy[usize::from(way.2)] -= 1;
                 }
+                _ => way.1 = self.tick,
             }
+            return AccessResult { hit: true, evicted_other: false };
         }
 
         // Miss.
@@ -187,16 +187,17 @@ impl Llc {
         // Choose a victim: an invalid allowed way, else LRU among allowed.
         let mut victim: Option<usize> = None;
         let mut victim_lru = u64::MAX;
-        for (w, e) in slots.iter().enumerate() {
+        let slots = &mut self.entries[ways];
+        for (w, &(k, last_use, _)) in slots.iter().enumerate() {
             if !mask.allows(w as u32) {
                 continue;
             }
-            if !e.valid {
+            if k == 0 {
                 victim = Some(w);
                 break;
             }
-            if e.last_use < victim_lru {
-                victim_lru = e.last_use;
+            if last_use < victim_lru {
+                victim_lru = last_use;
                 victim = Some(w);
             }
         }
@@ -204,13 +205,15 @@ impl Llc {
             // Mask allows no way present in this cache: treat as uncached.
             return AccessResult { hit: false, evicted_other: false };
         };
-        let e = &mut slots[w];
+        // Slots are below `AgentId::SLOTS`, so they fit a u16.
+        let slot = owner.slot() as u16;
+        let (old_key, _, old_owner) = slots[w];
         let mut evicted_other = false;
-        if e.valid {
-            self.occupancy[e.owner.slot()] -= 1;
-            evicted_other = e.owner != owner;
+        if old_key != 0 {
+            self.occupancy[usize::from(old_owner)] -= 1;
+            evicted_other = old_owner != slot;
         }
-        *e = Entry { tag, owner, last_use: self.tick, valid: true };
+        slots[w] = (key, self.tick, slot);
         self.occupancy[owner.slot()] += 1;
         AccessResult { hit: false, evicted_other }
     }
@@ -228,13 +231,12 @@ impl Llc {
         let mut flushed = 0;
         for line in first..=last {
             let addr = line * self.line_size;
-            let set = self.set_index(addr);
-            let tag = self.line_tag(addr);
-            let base = (set * self.ways as u64) as usize;
-            for e in &mut self.entries[base..base + self.ways as usize] {
-                if e.valid && e.tag == tag {
-                    e.valid = false;
-                    self.occupancy[e.owner.slot()] -= 1;
+            let key = self.line_key(addr);
+            let ways = self.set_range(addr);
+            for way in &mut self.entries[ways] {
+                if way.0 == key {
+                    way.0 = 0;
+                    self.occupancy[usize::from(way.2)] -= 1;
                     flushed += 1;
                 }
             }

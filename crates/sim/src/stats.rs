@@ -51,8 +51,10 @@ impl Counter {
 ///
 /// Buckets: 64 logarithmic majors (one per leading-bit position of the
 /// picosecond value) × 16 linear minors, giving ≤ ~6% relative error —
-/// plenty for reproducing figure shapes while staying allocation-free after
-/// construction.
+/// plenty for reproducing figure shapes. Only the window of buckets from
+/// the lowest to the highest one ever touched is stored, so an empty
+/// histogram allocates nothing and a typical latency histogram holds a
+/// few hundred buckets rather than all 1,024.
 ///
 /// ```
 /// use dsa_sim::stats::DurationHistogram;
@@ -67,6 +69,9 @@ impl Counter {
 /// ```
 #[derive(Clone)]
 pub struct DurationHistogram {
+    /// Bucket index of `buckets[0]`.
+    lo: usize,
+    /// Counts of buckets `lo..lo + buckets.len()`.
     buckets: Vec<u64>,
     count: u64,
     sum_ps: u128,
@@ -81,7 +86,8 @@ impl DurationHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         Self {
-            buckets: vec![0; MAJORS * MINORS],
+            lo: 0,
+            buckets: Vec::new(),
             count: 0,
             sum_ps: 0,
             min: SimDuration::from_ps(u64::MAX),
@@ -110,10 +116,30 @@ impl DurationHistogram {
         ((1u64 << 4) | minor) << shift
     }
 
+    /// The stored count of bucket `index` (0 outside the window).
+    fn bucket(&self, index: usize) -> u64 {
+        index.checked_sub(self.lo).and_then(|i| self.buckets.get(i)).copied().unwrap_or(0)
+    }
+
+    /// Widens the window to cover buckets `lo..=hi`.
+    fn cover(&mut self, lo: usize, hi: usize) {
+        if self.buckets.is_empty() {
+            self.lo = lo;
+        } else if lo < self.lo {
+            self.buckets.splice(0..0, std::iter::repeat_n(0, self.lo - lo));
+            self.lo = lo;
+        }
+        if hi >= self.lo + self.buckets.len() {
+            self.buckets.resize(hi - self.lo + 1, 0);
+        }
+    }
+
     /// Records one duration.
     pub fn record(&mut self, d: SimDuration) {
         let ps = d.as_ps();
-        self.buckets[Self::bucket_index(ps)] += 1;
+        let index = Self::bucket_index(ps);
+        self.cover(index, index);
+        self.buckets[index - self.lo] += 1;
         self.count += 1;
         self.sum_ps += ps as u128;
         if d < self.min {
@@ -188,7 +214,8 @@ impl DurationHistogram {
             for (i, &n) in self.buckets.iter().enumerate() {
                 seen += n;
                 if seen >= rank {
-                    value = SimDuration::from_ps(Self::bucket_value(i)).min(self.max).max(self.min);
+                    let lower = Self::bucket_value(self.lo + i);
+                    value = SimDuration::from_ps(lower).min(self.max).max(self.min);
                     break;
                 }
             }
@@ -210,12 +237,14 @@ impl DurationHistogram {
     /// good enough for the percentile queries windows exist to serve.
     pub fn delta_since(&self, earlier: &DurationHistogram) -> DurationHistogram {
         let mut out = DurationHistogram::new();
-        for (i, (&now, &was)) in self.buckets.iter().zip(&earlier.buckets).enumerate() {
-            let d = now.saturating_sub(was);
+        for (offset, &now) in self.buckets.iter().enumerate() {
+            let i = self.lo + offset;
+            let d = now.saturating_sub(earlier.bucket(i));
             if d == 0 {
                 continue;
             }
-            out.buckets[i] = d;
+            out.cover(i, i);
+            out.buckets[i - out.lo] = d;
             out.count += d;
             out.sum_ps += (Self::bucket_value(i) as u128) * d as u128;
             let lo = SimDuration::from_ps(Self::bucket_value(i)).max(self.min);
@@ -233,8 +262,12 @@ impl DurationHistogram {
 
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &DurationHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
+        if !other.buckets.is_empty() {
+            self.cover(other.lo, other.lo + other.buckets.len() - 1);
+            let at = other.lo - self.lo;
+            for (a, b) in self.buckets[at..].iter_mut().zip(&other.buckets) {
+                *a += b;
+            }
         }
         self.count += other.count;
         self.sum_ps += other.sum_ps;

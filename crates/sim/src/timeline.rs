@@ -171,7 +171,9 @@ pub struct BwResource {
     gaps: VecDeque<(SimTime, SimTime)>,
 }
 
-/// Most idle gaps remembered for backfilling.
+/// Most idle gaps remembered for backfilling. `transfer` keeps
+/// `gaps.len() <= MAX_GAPS` on every path (a new tail gap and a backfill
+/// split alike) by forgetting the oldest gaps first.
 const MAX_GAPS: usize = 4096;
 
 impl BwResource {
@@ -202,32 +204,49 @@ impl BwResource {
         let dur = transfer_time_mgbps(bytes, self.mgbps);
         self.busy += dur;
         // Backfill: fit into the earliest idle gap that can hold the whole
-        // transfer at or after `ready`.
-        for i in 0..self.gaps.len() {
+        // transfer at or after `ready`. Gaps are disjoint and sorted, so
+        // every gap ending before `ready` is skipped by one binary search
+        // (or none, when even the newest gap does); a gap ending exactly
+        // at `ready` still holds a zero-byte transfer.
+        let first = match self.gaps.back() {
+            Some(&(_, ge)) if ge >= ready => self.gaps.partition_point(|&(_, ge)| ge < ready),
+            _ => self.gaps.len(),
+        };
+        for i in first..self.gaps.len() {
             let (gs, ge) = self.gaps[i];
             let start = gs.max(ready);
-            if start + dur <= ge {
+            let end = start + dur;
+            if end <= ge {
                 // Consume the used part, keeping remainders as gaps.
-                self.gaps.remove(i);
-                if start > gs {
-                    self.gaps.insert(i, (gs, start));
+                match (start > gs, end < ge) {
+                    (true, true) => {
+                        self.gaps[i].1 = start;
+                        self.gaps.insert(i + 1, (end, ge));
+                        self.forget_oldest_gaps();
+                    }
+                    (true, false) => self.gaps[i].1 = start,
+                    (false, true) => self.gaps[i].0 = end,
+                    (false, false) => {
+                        self.gaps.remove(i);
+                    }
                 }
-                if start + dur < ge {
-                    let at = if start > gs { i + 1 } else { i };
-                    self.gaps.insert(at, (start + dur, ge));
-                }
-                return Interval { start, end: start + dur };
+                return Interval { start, end };
             }
         }
         let start = ready.max(self.free_at);
         if start > self.free_at {
             self.gaps.push_back((self.free_at, start));
-            while self.gaps.len() > MAX_GAPS {
-                self.gaps.pop_front();
-            }
+            self.forget_oldest_gaps();
         }
         self.free_at = start + dur;
         Interval { start, end: self.free_at }
+    }
+
+    /// Drops the oldest gaps until at most `MAX_GAPS` remain.
+    fn forget_oldest_gaps(&mut self) {
+        while self.gaps.len() > MAX_GAPS {
+            self.gaps.pop_front();
+        }
     }
 
     /// The earliest instant a new transfer could begin at the tail
@@ -481,6 +500,27 @@ mod backfill_tests {
         p.transfer(ns(1000), 100); // gap 100..1000
         let x = p.transfer(ns(400), 100);
         assert_eq!(x.start, ns(400));
+    }
+
+    #[test]
+    fn backfill_splits_keep_the_gap_cap() {
+        // 1 GB/s: 100 bytes take 100 ns. Fill the list with gaps
+        // 100..1000, 1100..2000, ...; then split every one in the middle,
+        // which turns one gap into two.
+        let mut p = BwResource::new(1_000);
+        for k in 0..=MAX_GAPS as u64 {
+            p.transfer(ns(k * 1000), 100);
+        }
+        assert_eq!(p.gaps.len(), MAX_GAPS);
+        for k in 0..MAX_GAPS as u64 {
+            let ready = ns(k * 1000 + 500);
+            let iv = p.transfer(ready, 100);
+            assert_eq!(iv.start, ready, "gap {k} has room in its middle");
+            assert!(p.gaps.len() <= MAX_GAPS, "{} gaps after split {k}", p.gaps.len());
+        }
+        assert_eq!(p.gaps.len(), MAX_GAPS);
+        // The cap forgot the oldest gaps: the first kept one starts after 0.
+        assert!(p.gaps[0].0 > ns(100));
     }
 
     #[test]
