@@ -212,9 +212,9 @@ fn cpu_run(rt: &mut DsaRuntime, req: &OffloadRequest) -> Completion {
             (Status::Success, 0)
         }
         OpKind::Compare => {
-            let a = rt.read(&req.src).unwrap_or(&[]).to_vec();
+            let a = rt.read(&req.src).unwrap_or(&[]);
             let b = rt.read(&req.dst).unwrap_or(&[]);
-            match dsa_ops::memops::compare(&a, b) {
+            match dsa_ops::memops::compare(a, b) {
                 Some(off) => (Status::CompareMismatch, off as u64),
                 None => (Status::Success, 0),
             }

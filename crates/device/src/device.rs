@@ -1038,9 +1038,8 @@ impl DsaDevice {
             Opcode::DifCheck | Opcode::DifInsert | Opcode::DifStrip | Opcode::DifUpdate => {
                 let OpParams::Dif(cfg) = &desc.params else { return invalid };
                 let Ok(src) = memory.read(desc.src, len) else { return invalid };
-                let src = src.to_vec();
                 match desc.opcode {
-                    Opcode::DifInsert => match dif::dif_insert(cfg, &src) {
+                    Opcode::DifInsert => match dif::dif_insert(cfg, src) {
                         Ok(out) => {
                             if memory.write(desc.dst, &out).is_err() {
                                 return invalid;
@@ -1049,7 +1048,7 @@ impl DsaDevice {
                         }
                         Err(_) => invalid,
                     },
-                    Opcode::DifCheck => match dif::dif_check(cfg, &src) {
+                    Opcode::DifCheck => match dif::dif_check(cfg, src) {
                         Ok(()) => CompletionRecord::success(desc.xfer_size),
                         Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
                             status: Status::DifError,
@@ -1058,7 +1057,7 @@ impl DsaDevice {
                         },
                         Err(_) => invalid,
                     },
-                    Opcode::DifStrip => match dif::dif_strip(cfg, &src) {
+                    Opcode::DifStrip => match dif::dif_strip(cfg, src) {
                         Ok(out) => {
                             if memory.write(desc.dst, &out).is_err() {
                                 return invalid;
@@ -1072,7 +1071,7 @@ impl DsaDevice {
                         },
                         Err(_) => invalid,
                     },
-                    Opcode::DifUpdate => match dif::dif_update(cfg, cfg, &src) {
+                    Opcode::DifUpdate => match dif::dif_update(cfg, cfg, src) {
                         Ok(out) => {
                             if memory.write(desc.dst, &out).is_err() {
                                 return invalid;

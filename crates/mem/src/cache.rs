@@ -68,10 +68,11 @@ pub struct AccessResult {
 /// One LLC way: `(key, last_use, owner)`. `key` is `line + 1` of the line
 /// the way holds, or 0 when the way is invalid; `last_use` is the `tick`
 /// of its last use (LRU order); `owner` is the [`AgentId::slot`] of the
-/// agent that allocated it. A tuple of integers rather than a struct so
-/// that a cache of invalid ways is one zeroed allocation: a new cache
-/// pays only for the pages its accesses touch, not for writing an
-/// invalid marker into every way.
+/// agent that allocated it. All-zero is the invalid way, so the tag
+/// array is built with one zeroed allocation. That is still a memset of
+/// the whole array (23.6 MB for the SPR LLC: the allocator hands back
+/// reused, dirty heap), which is why [`Llc`] builds it only on the first
+/// access that allocates a line.
 type Way = (u64, u64, u16);
 
 /// The set-associative LLC.
@@ -89,7 +90,8 @@ type Way = (u64, u64, u16);
 /// ```
 #[derive(Clone, Debug)]
 pub struct Llc {
-    /// Every way of every set, indexed `set * ways + way`.
+    /// Every way of every set, indexed `set * ways + way`; empty until
+    /// the first allocating access, as an empty cache misses every probe.
     entries: Vec<Way>,
     sets: u64,
     ways: u32,
@@ -113,7 +115,7 @@ impl Llc {
         assert!(raw_sets >= 1, "cache too small for its geometry");
         let sets = 1u64 << (63 - raw_sets.leading_zeros());
         Llc {
-            entries: vec![(0, 0, 0); (sets * ways as u64) as usize],
+            entries: Vec::new(),
             sets,
             ways,
             line_size,
@@ -164,6 +166,12 @@ impl Llc {
         mask: WayMask,
     ) -> AccessResult {
         self.tick += 1;
+        if self.entries.is_empty() {
+            if policy != AllocPolicy::AllocOnMiss {
+                return AccessResult { hit: false, evicted_other: false };
+            }
+            self.entries = vec![(0, 0, 0); (self.sets * self.ways as u64) as usize];
+        }
         let key = self.line_key(addr);
         let ways = self.set_range(addr);
 
@@ -223,7 +231,7 @@ impl Llc {
     ///
     /// Returns the number of lines invalidated.
     pub fn flush_range(&mut self, start: u64, len: u64) -> u64 {
-        if len == 0 {
+        if len == 0 || self.entries.is_empty() {
             return 0;
         }
         let first = start / self.line_size;
@@ -423,6 +431,20 @@ mod tests {
         assert_eq!(flushed, 16);
         assert_eq!(c.occupancy_bytes(a), 0);
         assert_eq!(c.flush_range(0, 0), 0);
+    }
+
+    #[test]
+    fn fresh_cache_probes_miss_until_something_allocates() {
+        let mut c = Llc::new(32 << 20, 15, 64);
+        let a = AgentId::core(0);
+        assert_eq!(c.flush_range(0, 1 << 20), 0);
+        assert!(!c.access(a, 0x40, AllocPolicy::NoAlloc, WayMask::ALL).hit);
+        assert!(!c.access(a, 0x40, AllocPolicy::NoAllocInvalidate, WayMask::ALL).hit);
+        assert!(c.entries.is_empty(), "non-allocating probes leave the tag array unbuilt");
+        assert!(!c.access(a, 0x40, AllocPolicy::AllocOnMiss, WayMask::ALL).hit);
+        assert!(c.access(a, 0x40, AllocPolicy::AllocOnMiss, WayMask::ALL).hit);
+        assert_eq!(c.occupancy_bytes(a), 64);
+        assert_eq!(c.flush_range(0, 1 << 20), 1);
     }
 
     #[test]

@@ -174,18 +174,27 @@ impl Memory {
     }
 
     /// Copies `len` bytes from `src` to `dst` (may be in different
-    /// allocations; overlapping ranges copy through a staging buffer, i.e.
-    /// `memmove` semantics).
+    /// allocations; overlapping ranges have `memmove` semantics).
     ///
     /// # Errors
     ///
-    /// Fails if either range is invalid.
+    /// Fails if either range is invalid; no byte moves unless both are
+    /// valid.
     pub fn copy(&mut self, src: u64, dst: u64, len: u64) -> Result<(), MemError> {
-        // Validate both before copying.
-        self.segment_of(src, len)?;
-        self.segment_of(dst, len)?;
-        let tmp = self.read(src, len)?.to_vec();
-        self.write(dst, &tmp)
+        let (src_base, _) = self.segment_of(src, len)?;
+        let (dst_base, _) = self.segment_of(dst, len)?;
+        let (from, to, n) = ((src - src_base) as usize, (dst - dst_base) as usize, len as usize);
+        let mut between = self.segments.range_mut(src_base.min(dst_base)..=src_base.max(dst_base));
+        let Some((_, first)) = between.next() else { return Err(MemError::Unmapped { addr: src }) };
+        match between.next_back() {
+            // Same allocation: the ranges may overlap.
+            None => first.data.copy_within(from..from + n, to),
+            Some((_, last)) => {
+                let (s, d) = if src_base < dst_base { (first, last) } else { (last, first) };
+                d.data[to..to + n].copy_from_slice(&s.data[from..from + n]);
+            }
+        }
+        Ok(())
     }
 
     /// The declared location of the allocation containing `addr`.
@@ -276,6 +285,68 @@ mod tests {
         m.write(b.addr(), &[1, 2, 3, 4, 5, 6, 7, 8]).unwrap();
         m.copy(b.addr(), b.addr() + 2, 6).unwrap();
         assert_eq!(m.read(b.addr(), 8).unwrap(), &[1, 2, 1, 2, 3, 4, 5, 6]);
+        m.copy(b.addr() + 2, b.addr(), 6).unwrap();
+        assert_eq!(m.read(b.addr(), 8).unwrap(), &[1, 2, 3, 4, 5, 6, 5, 6]);
+    }
+
+    #[test]
+    fn copy_across_segments_in_both_directions() {
+        let mut m = Memory::new();
+        let lo = m.alloc(64, Location::local_dram());
+        let mid = m.alloc(16, Location::local_dram());
+        let hi = m.alloc(64, Location::Cxl);
+        let pattern: Vec<u8> = (0..32).collect();
+        m.write(lo.addr() + 8, &pattern).unwrap();
+        // Source below the destination, with a segment in between.
+        m.copy(lo.addr() + 8, hi.addr() + 16, 32).unwrap();
+        assert_eq!(m.read(hi.addr() + 16, 32).unwrap(), &pattern[..]);
+        assert_eq!(m.read(hi.addr(), 16).unwrap(), &[0; 16]);
+        assert_eq!(m.read(hi.addr() + 48, 16).unwrap(), &[0; 16]);
+        // Source above the destination.
+        m.write(hi.addr(), &[7; 8]).unwrap();
+        m.copy(hi.addr(), lo.addr(), 24).unwrap();
+        assert_eq!(m.read(lo.addr(), 8).unwrap(), &[7; 8]);
+        assert_eq!(m.read(lo.addr() + 8, 8).unwrap(), &[0; 8]);
+        assert_eq!(m.read(lo.addr() + 16, 8).unwrap(), &pattern[..8]);
+        assert_eq!(m.read(lo.addr() + 24, 16).unwrap(), &pattern[16..], "past the copy");
+        assert_eq!(m.read(mid.addr(), 16).unwrap(), &[0; 16], "segment between is untouched");
+    }
+
+    #[test]
+    fn zero_length_copy_moves_nothing() {
+        let mut m = Memory::new();
+        let a = m.alloc(8, Location::local_dram());
+        let b = m.alloc(8, Location::local_dram());
+        m.write(a.addr(), &[1; 8]).unwrap();
+        m.copy(a.addr(), b.addr(), 0).unwrap();
+        m.copy(a.addr() + 3, a.addr() + 1, 0).unwrap();
+        assert_eq!(m.read(b.addr(), 8).unwrap(), &[0; 8]);
+        assert_eq!(m.read(a.addr(), 8).unwrap(), &[1; 8]);
+    }
+
+    #[test]
+    fn invalid_copy_reports_the_error_and_writes_nothing() {
+        let mut m = Memory::new();
+        let a = m.alloc(32, Location::local_dram());
+        let b = m.alloc(32, Location::local_dram());
+        m.write(a.addr(), &[5; 32]).unwrap();
+        let unmapped = 0x10;
+        let crossing = a.addr() + 16;
+        // Bad source: the destination keeps its bytes.
+        assert_eq!(m.copy(unmapped, b.addr(), 8), Err(MemError::Unmapped { addr: unmapped }));
+        assert_eq!(
+            m.copy(crossing, b.addr(), 32),
+            Err(MemError::CrossesSegments { addr: crossing })
+        );
+        assert_eq!(m.read(b.addr(), 32).unwrap(), &[0; 32]);
+        // Bad destination: nothing lands in the part that is mapped.
+        let crossing = b.addr() + 16;
+        assert_eq!(m.copy(a.addr(), unmapped, 8), Err(MemError::Unmapped { addr: unmapped }));
+        assert_eq!(
+            m.copy(a.addr(), crossing, 32),
+            Err(MemError::CrossesSegments { addr: crossing })
+        );
+        assert_eq!(m.read(b.addr(), 32).unwrap(), &[0; 32]);
     }
 
     #[test]

@@ -105,19 +105,33 @@ impl std::fmt::Display for DifError {
 
 impl std::error::Error for DifError {}
 
-/// CRC-16/T10-DIF (non-reflected, poly 0x8BB7, init 0).
+/// CRC-16/T10-DIF (non-reflected, poly 0x8BB7, init 0), slice-by-8.
 pub fn crc16_t10(data: &[u8]) -> u16 {
-    static TABLE: [u16; 256] = build_t10_table();
+    static TABLES: [[u16; 256]; 8] = build_t10_tables();
     let mut crc: u16 = 0;
-    for &b in data {
-        let idx = ((crc >> 8) ^ b as u16) & 0xFF;
-        crc = (crc << 8) ^ TABLE[idx as usize];
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        // The running CRC folds into the first two (most significant) bytes.
+        let [h0, h1] = crc.to_be_bytes();
+        crc = TABLES[7][(c[0] ^ h0) as usize]
+            ^ TABLES[6][(c[1] ^ h1) as usize]
+            ^ TABLES[5][c[2] as usize]
+            ^ TABLES[4][c[3] as usize]
+            ^ TABLES[3][c[4] as usize]
+            ^ TABLES[2][c[5] as usize]
+            ^ TABLES[1][c[6] as usize]
+            ^ TABLES[0][c[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc << 8) ^ TABLES[0][((crc >> 8) as u8 ^ b) as usize];
     }
     crc
 }
 
-const fn build_t10_table() -> [u16; 256] {
-    let mut table = [0u16; 256];
+/// Builds the slice-by-8 tables: `tables[k][i]` is the CRC of byte `i`
+/// followed by `k` zero bytes.
+const fn build_t10_tables() -> [[u16; 256]; 8] {
+    let mut tables = [[0u16; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = (i as u16) << 8;
@@ -126,10 +140,20 @@ const fn build_t10_table() -> [u16; 256] {
             crc = if crc & 0x8000 != 0 { (crc << 1) ^ 0x8BB7 } else { crc << 1 };
             b += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev << 8) ^ tables[0][(prev >> 8) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
 /// Seed tags for a DIF pass.

@@ -49,6 +49,9 @@ pub fn fill(dst: &mut [u8], pattern: u64) {
 /// Panics if lengths differ.
 pub fn compare(a: &[u8], b: &[u8]) -> Option<usize> {
     assert_eq!(a.len(), b.len(), "compare length mismatch");
+    if a == b {
+        return None;
+    }
     a.iter().zip(b).position(|(x, y)| x != y)
 }
 
@@ -56,8 +59,17 @@ pub fn compare(a: &[u8], b: &[u8]) -> Option<usize> {
 /// returns the byte offset of the first mismatch, or `None` if it matches
 /// throughout.
 pub fn compare_pattern(buf: &[u8], pattern: u64) -> Option<usize> {
+    let mut words = buf.chunks_exact(8);
+    for (i, w) in (&mut words).enumerate() {
+        let diff = u64::from_le_bytes([w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]]) ^ pattern;
+        if diff != 0 {
+            // Little-endian: the lowest differing byte comes first in memory.
+            return Some(i * 8 + diff.trailing_zeros() as usize / 8);
+        }
+    }
+    let tail = words.remainder();
     let bytes = pattern.to_le_bytes();
-    buf.iter().enumerate().position(|(i, &b)| b != bytes[i % 8])
+    tail.iter().zip(bytes).position(|(&b, p)| b != p).map(|j| buf.len() - tail.len() + j)
 }
 
 #[cfg(test)]

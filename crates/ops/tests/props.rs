@@ -7,7 +7,9 @@
 
 use dsa_ops::crc32::{Crc32Ieee, Crc32c};
 use dsa_ops::delta::{delta_apply, delta_create};
-use dsa_ops::dif::{dif_check, dif_insert, dif_strip, dif_update, DifBlockSize, DifConfig};
+use dsa_ops::dif::{
+    crc16_t10, dif_check, dif_insert, dif_strip, dif_update, DifBlockSize, DifConfig,
+};
 use dsa_ops::memops;
 use dsa_sim::rng::SplitMix64;
 
@@ -159,6 +161,103 @@ fn fill_then_compare_pattern_always_matches() {
         let mut buf = vec![0u8; len];
         memops::fill(&mut buf, pattern);
         assert_eq!(memops::compare_pattern(&buf, pattern), None);
+    }
+}
+
+/// One table step per byte: the reference the slice-by-8 kernel must match.
+fn crc16_t10_bytewise(data: &[u8]) -> u16 {
+    let mut table = [0u16; 256];
+    for (i, entry) in table.iter_mut().enumerate() {
+        let mut crc = (i as u16) << 8;
+        for _ in 0..8 {
+            crc = if crc & 0x8000 != 0 { (crc << 1) ^ 0x8BB7 } else { crc << 1 };
+        }
+        *entry = crc;
+    }
+    let mut crc: u16 = 0;
+    for &b in data {
+        let idx = ((crc >> 8) ^ b as u16) & 0xFF;
+        crc = (crc << 8) ^ table[idx as usize];
+    }
+    crc
+}
+
+#[test]
+fn crc16_t10_matches_bytewise_reference() {
+    let mut rng = SplitMix64::new(0x0B5_000B);
+    assert_eq!(crc16_t10_bytewise(b"123456789"), 0xD0DB);
+    // Every length up to three words covers every remainder after 0, 1
+    // and 2 full words; then random lengths up to 4,096.
+    let lens =
+        (0..=24).chain((0..CASES).map(|_| rng.next_below(4097) as usize)).collect::<Vec<_>>();
+    for len in lens {
+        let data = random_bytes(&mut rng, len);
+        assert_eq!(crc16_t10(&data), crc16_t10_bytewise(&data), "len {len}");
+    }
+}
+
+#[test]
+fn dif_insert_check_strip_roundtrip_over_blocks() {
+    let mut rng = SplitMix64::new(0x0B5_000C);
+    let sizes = [DifBlockSize::B512, DifBlockSize::B520, DifBlockSize::B4096, DifBlockSize::B4104];
+    for _ in 0..CASES {
+        let block = sizes[rng.next_below(4) as usize];
+        let blocks = 1 + rng.next_below(8) as usize;
+        let cfg = DifConfig {
+            block,
+            app_tag: rng.next_u64() as u16,
+            starting_ref_tag: rng.next_u64() as u32,
+        };
+        let data = random_bytes(&mut rng, blocks * block.bytes());
+        let protected = dif_insert(&cfg, &data).unwrap();
+        assert_eq!(protected.len(), data.len() + blocks * 8);
+        for (chunk, raw) in
+            protected.chunks_exact(block.bytes() + 8).zip(data.chunks(block.bytes()))
+        {
+            let guard = u16::from_be_bytes([chunk[block.bytes()], chunk[block.bytes() + 1]]);
+            assert_eq!(guard, crc16_t10_bytewise(raw));
+        }
+        dif_check(&cfg, &protected).unwrap();
+        assert_eq!(dif_strip(&cfg, &protected).unwrap(), data);
+    }
+}
+
+#[test]
+fn compare_pattern_reports_the_mutated_offset() {
+    let mut rng = SplitMix64::new(0x0B5_000D);
+    for case in 0..CASES {
+        let len = 1 + rng.next_below(1024) as usize;
+        let pattern = rng.next_u64();
+        let mut buf = vec![0u8; len];
+        memops::fill(&mut buf, pattern);
+        // Every fourth case lands in the tail after the last full word
+        // (or the last byte when the length is a multiple of 8).
+        let i = if case % 4 == 0 {
+            let tail = len % 8;
+            if tail == 0 {
+                len - 1
+            } else {
+                len - tail + rng.next_below(tail as u64) as usize
+            }
+        } else {
+            rng.next_below(len as u64) as usize
+        };
+        buf[i] ^= 1 + rng.next_below(255) as u8;
+        assert_eq!(memops::compare_pattern(&buf, pattern), Some(i), "len {len}");
+    }
+}
+
+#[test]
+fn compare_reports_the_mutated_offset_in_large_buffers() {
+    let mut rng = SplitMix64::new(0x0B5_000E);
+    for _ in 0..CASES {
+        let len = 513 + rng.next_below(8192) as usize;
+        let a = random_bytes(&mut rng, len);
+        let mut b = a.clone();
+        assert_eq!(memops::compare(&a, &b), None);
+        let i = rng.next_below(len as u64) as usize;
+        b[i] ^= 1 + rng.next_below(255) as u8;
+        assert_eq!(memops::compare(&a, &b), Some(i));
     }
 }
 
