@@ -197,34 +197,40 @@ pub trait OffloadBackend {
 }
 
 /// Performs `req` in software against the runtime's shared cost model —
-/// the common fallback path for every backend.
+/// the common fallback path for every backend. An operand range the CPU
+/// cannot access (unmapped, crossing allocations, or holding no bytes on
+/// a timing-only runtime) completes with `InvalidDescriptor`, as the
+/// device reports it, after charging no time.
 fn cpu_run(rt: &mut DsaRuntime, req: &OffloadRequest) -> Completion {
-    let elapsed = rt.cpu_op(req.op, &req.src, &req.dst);
+    let invalid =
+        Completion { elapsed: SimDuration::ZERO, status: Status::InvalidDescriptor, result: 0 };
+    // Results the caller reads come from the operands before the clock
+    // is charged.
     let (status, result) = match req.op {
-        OpKind::Fill | OpKind::NtFill => {
-            // `cpu_op` fills with zero; honour the requested pattern.
-            let pattern = req.pattern.to_le_bytes();
-            if let Ok(b) = rt.memory_mut().read_mut(req.dst.addr(), req.dst.len()) {
-                for (i, byte) in b.iter_mut().enumerate() {
-                    *byte = pattern[i % 8];
-                }
-            }
-            (Status::Success, 0)
-        }
         OpKind::Compare => {
-            let a = rt.read(&req.src).unwrap_or(&[]);
-            let b = rt.read(&req.dst).unwrap_or(&[]);
+            let (Ok(a), Ok(b)) = (rt.read(&req.src), rt.read(&req.dst)) else { return invalid };
             match dsa_ops::memops::compare(a, b) {
                 Some(off) => (Status::CompareMismatch, off as u64),
                 None => (Status::Success, 0),
             }
         }
         OpKind::Crc32 => {
-            let crc = Crc32c::checksum(rt.read(&req.src).unwrap_or(&[]));
-            (Status::Success, u64::from(crc))
+            let Ok(src) = rt.read(&req.src) else { return invalid };
+            (Status::Success, u64::from(Crc32c::checksum(src)))
         }
         _ => (Status::Success, 0),
     };
+    let Ok(elapsed) = rt.cpu_op(req.op, &req.src, &req.dst) else { return invalid };
+    if matches!(req.op, OpKind::Fill | OpKind::NtFill) {
+        // `cpu_op` fills with zero, so the range is writable; honour the
+        // requested pattern.
+        let pattern = req.pattern.to_le_bytes();
+        if let Ok(b) = rt.memory_mut().read_mut(req.dst.addr(), req.dst.len()) {
+            for (i, byte) in b.iter_mut().enumerate() {
+                *byte = pattern[i % 8];
+            }
+        }
+    }
     Completion { elapsed, status, result }
 }
 

@@ -24,12 +24,18 @@ pub struct RuntimeBuilder {
     platform: Platform,
     device_configs: Vec<DeviceConfig>,
     page_size: PageSize,
+    timing_only: bool,
 }
 
 impl RuntimeBuilder {
     /// Starts from a platform (usually [`Platform::spr`]).
     pub fn new(platform: Platform) -> RuntimeBuilder {
-        RuntimeBuilder { platform, device_configs: Vec::new(), page_size: PageSize::Base4K }
+        RuntimeBuilder {
+            platform,
+            device_configs: Vec::new(),
+            page_size: PageSize::Base4K,
+            timing_only: false,
+        }
     }
 
     /// Adds one DSA instance with `config`.
@@ -52,6 +58,18 @@ impl RuntimeBuilder {
         self
     }
 
+    /// Backs the runtime with a [`Memory::timing_only`] byte store:
+    /// buffers get the same addresses and the same timing but hold no
+    /// bytes. Copies time exactly as on a backed runtime; operations that
+    /// read or write operand bytes (fill, compare, CRC, ...) complete with
+    /// `InvalidDescriptor`, on the device and on the CPU fallback alike,
+    /// and no completion record lands in memory. For simulations whose
+    /// results nobody reads.
+    pub fn timing_only(mut self) -> RuntimeBuilder {
+        self.timing_only = true;
+        self
+    }
+
     /// Builds the runtime. At least one device is always present.
     pub fn build(mut self) -> DsaRuntime {
         if self.device_configs.is_empty() {
@@ -67,7 +85,7 @@ impl RuntimeBuilder {
         DsaRuntime {
             swcost: SwCost::new(self.platform.clone()),
             platform: self.platform,
-            memory: Memory::new(),
+            memory: if self.timing_only { Memory::timing_only() } else { Memory::new() },
             memsys,
             devices,
             page_size: self.page_size,
@@ -237,8 +255,12 @@ impl DsaRuntime {
         h
     }
 
-    /// Fills a buffer with one byte value.
+    /// Fills a buffer with one byte value (a no-op on a
+    /// [`timing_only`](RuntimeBuilder::timing_only) runtime).
     pub fn fill_pattern(&mut self, buf: &BufferHandle, byte: u8) {
+        if !self.memory.holds_bytes() {
+            return;
+        }
         self.memory
             .read_mut(buf.addr(), buf.len())
             // dsa-lint: allow(unwrap, handles come from this runtime's allocator, so the range is mapped)
@@ -246,9 +268,14 @@ impl DsaRuntime {
             .fill(byte);
     }
 
-    /// Fills a buffer with reproducible pseudo-random bytes.
+    /// Fills a buffer with reproducible pseudo-random bytes (a no-op on a
+    /// [`timing_only`](RuntimeBuilder::timing_only) runtime, which still
+    /// advances the seed stream).
     pub fn fill_random(&mut self, buf: &BufferHandle) {
         let mut rng = self.rng.split();
+        if !self.memory.holds_bytes() {
+            return;
+        }
         let slice = self
             .memory
             .read_mut(buf.addr(), buf.len())
@@ -269,24 +296,33 @@ impl DsaRuntime {
     /// Runs the *software* implementation of `kind` on the CPU: performs
     /// the work functionally and advances the clock by the calibrated
     /// software cost. Returns the elapsed software time.
-    pub fn cpu_op(&mut self, kind: OpKind, src: &BufferHandle, dst: &BufferHandle) -> SimDuration {
+    ///
+    /// # Errors
+    ///
+    /// The [`MemError`] of a copy or fill whose range is invalid (or, on a
+    /// timing-only runtime, of a fill). Nothing is written and the clock
+    /// does not move.
+    pub fn cpu_op(
+        &mut self,
+        kind: OpKind,
+        src: &BufferHandle,
+        dst: &BufferHandle,
+    ) -> Result<SimDuration, MemError> {
         let bytes = src.len().max(dst.len());
         let src_loc = self.memory.location_of(src.addr()).unwrap_or(Location::local_dram());
         let dst_loc = self.memory.location_of(dst.addr()).unwrap_or(Location::local_dram());
         let t = self.swcost.op_time(kind, bytes, src_loc, dst_loc);
         match kind {
             OpKind::Memcpy => {
-                self.memory.copy(src.addr(), dst.addr(), src.len().min(dst.len())).ok();
+                self.memory.copy(src.addr(), dst.addr(), src.len().min(dst.len()))?;
             }
             OpKind::Fill | OpKind::NtFill => {
-                if let Ok(b) = self.memory.read_mut(dst.addr(), dst.len()) {
-                    dsa_ops::memops::fill(b, 0);
-                }
+                dsa_ops::memops::fill(self.memory.read_mut(dst.addr(), dst.len())?, 0);
             }
             _ => {}
         }
         self.now += t;
-        t
+        Ok(t)
     }
 
     /// The calibrated software time for `kind` over `bytes` with explicit
@@ -363,10 +399,24 @@ mod tests {
         let a = rt.alloc(4096, Location::local_dram());
         let b = rt.alloc(4096, Location::local_dram());
         rt.fill_pattern(&a, 9);
-        let t = rt.cpu_op(OpKind::Memcpy, &a, &b);
+        let t = rt.cpu_op(OpKind::Memcpy, &a, &b).unwrap();
         assert!(t.as_ns_f64() > 100.0);
         assert_eq!(rt.now(), SimTime::ZERO + t);
         assert!(rt.read(&b).unwrap().iter().all(|&x| x == 9));
+    }
+
+    #[test]
+    fn timing_only_runtime_times_copies_without_bytes() {
+        let mut rt = DsaRuntime::builder(Platform::spr()).timing_only().build();
+        let a = rt.alloc(4096, Location::local_dram());
+        let b = rt.alloc(4096, Location::local_dram());
+        rt.fill_pattern(&a, 9);
+        rt.fill_random(&b);
+        assert_eq!(rt.read(&a), Err(MemError::NoBytes { addr: a.addr() }));
+        let t = rt.cpu_op(OpKind::Memcpy, &a, &b).unwrap();
+        assert_eq!(rt.now(), SimTime::ZERO + t);
+        assert_eq!(rt.cpu_op(OpKind::Fill, &a, &a), Err(MemError::NoBytes { addr: a.addr() }));
+        assert_eq!(rt.now(), SimTime::ZERO + t, "a failed op charges nothing");
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Heap audit of building a runtime.
 //!
-//! Installs a counting global allocator and measures the bytes
-//! `DsaRuntime::spr_default()` acquires. The LLC tag array (65,536 sets ×
-//! 15 ways, 23.6 MB) is built only once something allocates a line into
-//! the cache, so a fresh runtime must stay far below it.
+//! Installs a counting global allocator and measures the bytes runtime
+//! builds acquire. The LLC tag array (65,536 sets × 15 ways, 23.6 MB) is
+//! built only once something allocates a line into the cache, so a fresh
+//! runtime must stay far below it; a timing-only runtime holds no buffer
+//! bytes, so its buffers cost only their bookkeeping.
 //!
 //! One `#[test]` only: the counter is process-global, so a second parallel
 //! test would count its own allocations into ours.
@@ -12,6 +13,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dsa_core::runtime::DsaRuntime;
+use dsa_mem::buffer::Location;
+use dsa_mem::topology::Platform;
 
 /// Wraps the system allocator, counting the bytes of every heap
 /// acquisition (alloc/alloc_zeroed, and the full new size of a realloc).
@@ -43,11 +46,31 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-#[test]
-fn default_runtime_builds_without_the_llc_tag_array() {
+/// Runs `f`, returning the heap bytes it acquired and its result.
+fn heap_bytes<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = HEAP_BYTES.load(Ordering::Relaxed);
-    let rt = DsaRuntime::spr_default();
-    let bytes = HEAP_BYTES.load(Ordering::Relaxed) - before;
+    let out = f();
+    (HEAP_BYTES.load(Ordering::Relaxed) - before, out)
+}
+
+#[test]
+fn runtime_builds_allocate_no_bulk_state() {
+    let (bytes, rt) = heap_bytes(DsaRuntime::spr_default);
     drop(rt);
     assert!(bytes < 1 << 20, "a fresh runtime allocated {bytes} B, expected under 1 MiB");
+
+    let (bytes, rt) = heap_bytes(|| {
+        let mut rt = DsaRuntime::builder(Platform::spr()).timing_only().build();
+        for _ in 0..64 {
+            let buf = rt.alloc(1 << 20, Location::local_dram());
+            rt.fill_pattern(&buf, 0xA5);
+        }
+        rt
+    });
+    assert_eq!(rt.memory().allocated_bytes(), 64 << 20);
+    drop(rt);
+    assert!(
+        bytes < 64 << 10,
+        "a timing-only runtime with 64 MiB of buffers allocated {bytes} B, expected under 64 KiB"
+    );
 }

@@ -7,12 +7,12 @@
 //! cumulative totals), and checks the window against the service's typed
 //! [`SloTarget`]. Under pressure it generates candidate reconfigurations
 //! ([`crate::candidates`]), scores each — incumbent included — by
-//! forking a cheap **digital twin**: a fresh `DsaService` seeded
-//! deterministically from the live one, carrying the remaining (truncated)
-//! per-tenant workloads under the candidate plan. The best candidate is
-//! adopted through [`DsaService::transition`] only when it clears a
-//! hysteresis margin over the incumbent's own twin score, which damps
-//! plan thrash.
+//! forking a cheap **digital twin**: a fresh, timing-only `DsaService`
+//! seeded deterministically from the live one, carrying the remaining
+//! (truncated) per-tenant workloads under the candidate plan. The best
+//! candidate is adopted through [`DsaService::transition`] only when it
+//! clears a hysteresis margin over the incumbent's own twin score, which
+//! damps plan thrash.
 //!
 //! Everything the loop reads and writes is deterministic simulation
 //! state: same seed ⇒ bit-identical epoch boundaries, observations, twin
@@ -24,8 +24,8 @@ use crate::decision::{ControlReport, Decision};
 use dsa_core::digest::Fnv1a;
 use dsa_sim::stats::jain_fairness;
 use dsa_sim::time::{SimDuration, SimTime};
-use dsa_svc::plan::{Plan, PlanSpec, TransitionCosts};
-use dsa_svc::service::{DsaService, ServiceConfig};
+use dsa_svc::plan::{Plan, TransitionCosts};
+use dsa_svc::service::DsaService;
 use dsa_svc::slo::SloTarget;
 use dsa_svc::tenant::QosClass;
 use dsa_telemetry::metrics::Labels;
@@ -291,9 +291,13 @@ impl Governor {
     /// live tenants' *remaining* workloads (truncated to
     /// [`twin_jobs`](ControllerConfig::twin_jobs) each, starts zeroed),
     /// seeded deterministically from (controller salt, service seed,
-    /// epoch, plan label). Lower is better: windowed deadline-failure
-    /// rate dominates, then unfairness, then twin makespan plus the
-    /// candidate's priced transition stall (`stall_s`, seconds).
+    /// epoch, plan label). The twin comes from
+    /// [`DsaService::fork_twin`], so it is timing-only: it schedules
+    /// every job exactly as a backed service would but holds and copies
+    /// no bytes, since nothing reads them. Lower is better: windowed
+    /// deadline-failure rate dominates, then unfairness, then twin
+    /// makespan plus the candidate's priced transition stall (`stall_s`,
+    /// seconds).
     fn twin_score(&self, svc: &DsaService, plan: &Plan, epoch: u32, stall_s: f64) -> Option<f64> {
         let mut roster = Vec::new();
         for i in 0..svc.tenant_count() {
@@ -314,16 +318,7 @@ impl Governor {
         h.write_u64(svc.seed());
         h.write_u64(u64::from(epoch));
         h.write(plan.label().as_bytes());
-        let cfg = ServiceConfig::builder()
-            .plan(PlanSpec::Fixed(plan.clone()))
-            .seed(h.finish())
-            .platform(svc.runtime().platform().clone())
-            .location(svc.location())
-            .tenants(roster)
-            .build()
-            .ok()?;
-        let mut twin = DsaService::from_config(cfg).ok()?;
-        let rep = twin.run();
+        let rep = svc.fork_twin(plan, roster, h.finish()).ok()?.run();
         let makespan_s = (rep.makespan - SimTime::ZERO).as_ns_f64() * 1e-9;
         Some(rep.deadline_miss_rate() * 1000.0 + (1.0 - rep.fairness) * 10.0 + makespan_s + stall_s)
     }

@@ -864,17 +864,9 @@ impl DsaDevice {
             if base == 0 || len == 0 {
                 continue;
             }
-            let pt = memsys.page_table();
-            let mut a = base;
-            while a < base + len {
-                if pt.lookup(a).is_some() && !pt.is_present(a) {
-                    faults += 1;
-                    if fault_addr.is_none() {
-                        fault_addr = Some(a);
-                    }
-                }
-                a += 4096;
-            }
+            let (n, first) = memsys.page_table().scan_faults(base, len);
+            faults += n;
+            fault_addr = fault_addr.or(first);
         }
         // Partial completion at the first faulting page (fault_addr is set
         // exactly when faults > 0).

@@ -9,6 +9,12 @@
 //! Timing lives in [`MemSystem`](crate::memsys::MemSystem); contents live
 //! here. The two are kept separate so functional execution can never
 //! accidentally depend on timing state or vice versa.
+//!
+//! A [`Memory::timing_only`] address space hands out the same addresses,
+//! lengths, page sizes and locations as a backed one but holds no bytes:
+//! copies validate their ranges and move nothing, and every byte access
+//! fails with [`MemError::NoBytes`]. Simulations whose results nobody
+//! reads (the control plane's digital twins) run on one.
 
 use crate::buffer::{Location, PageSize};
 use std::collections::BTreeMap;
@@ -50,7 +56,11 @@ impl BufferHandle {
 
 #[derive(Debug)]
 struct Segment {
-    data: Vec<u8>,
+    /// Declared length. `data` holds that many bytes in a backed memory
+    /// and none in a timing-only one. (A boxed slice, not a `Vec`, so the
+    /// segment is no larger than when the `Vec` carried the length.)
+    len: u64,
+    data: Box<[u8]>,
     location: Location,
     page_size: PageSize,
 }
@@ -68,6 +78,12 @@ pub enum MemError {
         /// Start of the offending range.
         addr: u64,
     },
+    /// The range is valid but the memory is timing-only: it holds no
+    /// bytes to read or write.
+    NoBytes {
+        /// Start of the range.
+        addr: u64,
+    },
 }
 
 impl fmt::Display for MemError {
@@ -76,6 +92,9 @@ impl fmt::Display for MemError {
             MemError::Unmapped { addr } => write!(f, "unmapped address {addr:#x}"),
             MemError::CrossesSegments { addr } => {
                 write!(f, "range at {addr:#x} crosses allocation boundaries")
+            }
+            MemError::NoBytes { addr } => {
+                write!(f, "range at {addr:#x} is in a timing-only memory that holds no bytes")
             }
         }
     }
@@ -97,12 +116,26 @@ impl std::error::Error for MemError {}
 pub struct Memory {
     segments: BTreeMap<u64, Segment>,
     next_base: u64,
+    timing_only: bool,
 }
 
 impl Memory {
     /// Creates an empty address space.
     pub fn new() -> Memory {
-        Memory { segments: BTreeMap::new(), next_base: 0x1000_0000 }
+        Memory { segments: BTreeMap::new(), next_base: 0x1000_0000, timing_only: false }
+    }
+
+    /// Creates an empty address space that holds no bytes: allocations
+    /// get the addresses [`new`](Memory::new) would give them, copies
+    /// only validate their ranges, and reads and writes fail with
+    /// [`MemError::NoBytes`].
+    pub fn timing_only() -> Memory {
+        Memory { timing_only: true, ..Memory::new() }
+    }
+
+    /// False for a [`timing_only`](Memory::timing_only) address space.
+    pub fn holds_bytes(&self) -> bool {
+        !self.timing_only
     }
 
     /// Allocates `len` zeroed bytes in `location` with 4 KiB pages.
@@ -121,29 +154,41 @@ impl Memory {
         let base = self.next_base.div_ceil(align) * align;
         let span = (len.div_ceil(align) * align).max(align);
         self.next_base = base + span;
-        self.segments.insert(base, Segment { data: vec![0; len as usize], location, page_size });
+        let data = if self.timing_only { Box::default() } else { vec![0; len as usize].into() };
+        self.segments.insert(base, Segment { len, data, location, page_size });
         BufferHandle { base, len }
     }
 
     fn segment_of(&self, addr: u64, len: u64) -> Result<(u64, &Segment), MemError> {
         let (&base, seg) =
             self.segments.range(..=addr).next_back().ok_or(MemError::Unmapped { addr })?;
-        if addr >= base + seg.data.len() as u64 {
+        if addr >= base + seg.len {
             return Err(MemError::Unmapped { addr });
         }
-        if addr + len > base + seg.data.len() as u64 {
+        if addr + len > base + seg.len {
             return Err(MemError::CrossesSegments { addr });
         }
         Ok((base, seg))
+    }
+
+    /// [`segment_of`](Self::segment_of) for an access that needs the
+    /// bytes themselves.
+    fn bytes_of(&self, addr: u64, len: u64) -> Result<(u64, &Segment), MemError> {
+        let found = self.segment_of(addr, len)?;
+        if self.timing_only {
+            return Err(MemError::NoBytes { addr });
+        }
+        Ok(found)
     }
 
     /// Reads `len` bytes at `addr`.
     ///
     /// # Errors
     ///
-    /// Fails if the range is unmapped or spans allocations.
+    /// Fails if the range is unmapped or spans allocations, or with
+    /// [`MemError::NoBytes`] in a timing-only memory.
     pub fn read(&self, addr: u64, len: u64) -> Result<&[u8], MemError> {
-        let (base, seg) = self.segment_of(addr, len)?;
+        let (base, seg) = self.bytes_of(addr, len)?;
         let off = (addr - base) as usize;
         Ok(&seg.data[off..off + len as usize])
     }
@@ -152,9 +197,10 @@ impl Memory {
     ///
     /// # Errors
     ///
-    /// Fails if the range is unmapped or spans allocations.
+    /// Fails if the range is unmapped or spans allocations, or with
+    /// [`MemError::NoBytes`] in a timing-only memory.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
-        let (base, _) = self.segment_of(addr, bytes.len() as u64)?;
+        let (base, _) = self.bytes_of(addr, bytes.len() as u64)?;
         let seg = self.segments.get_mut(&base).ok_or(MemError::Unmapped { addr })?;
         let off = (addr - base) as usize;
         seg.data[off..off + bytes.len()].copy_from_slice(bytes);
@@ -165,9 +211,10 @@ impl Memory {
     ///
     /// # Errors
     ///
-    /// Fails if the range is unmapped or spans allocations.
+    /// Fails if the range is unmapped or spans allocations, or with
+    /// [`MemError::NoBytes`] in a timing-only memory.
     pub fn read_mut(&mut self, addr: u64, len: u64) -> Result<&mut [u8], MemError> {
-        let (base, _) = self.segment_of(addr, len)?;
+        let (base, _) = self.bytes_of(addr, len)?;
         let seg = self.segments.get_mut(&base).ok_or(MemError::Unmapped { addr })?;
         let off = (addr - base) as usize;
         Ok(&mut seg.data[off..off + len as usize])
@@ -179,10 +226,14 @@ impl Memory {
     /// # Errors
     ///
     /// Fails if either range is invalid; no byte moves unless both are
-    /// valid.
+    /// valid. A timing-only memory validates both ranges and moves
+    /// nothing.
     pub fn copy(&mut self, src: u64, dst: u64, len: u64) -> Result<(), MemError> {
         let (src_base, _) = self.segment_of(src, len)?;
         let (dst_base, _) = self.segment_of(dst, len)?;
+        if self.timing_only {
+            return Ok(());
+        }
         let (from, to, n) = ((src - src_base) as usize, (dst - dst_base) as usize, len as usize);
         let mut between = self.segments.range_mut(src_base.min(dst_base)..=src_base.max(dst_base));
         let Some((_, first)) = between.next() else { return Err(MemError::Unmapped { addr: src }) };
@@ -230,12 +281,13 @@ impl Memory {
     /// Iterates over `(base, len, location, page_size)` of all allocations —
     /// used to populate page tables.
     pub fn iter_segments(&self) -> impl Iterator<Item = (u64, u64, Location, PageSize)> + '_ {
-        self.segments.iter().map(|(&b, s)| (b, s.data.len() as u64, s.location, s.page_size))
+        self.segments.iter().map(|(&b, s)| (b, s.len, s.location, s.page_size))
     }
 
-    /// Total allocated bytes.
+    /// Total allocated bytes (declared lengths, in a timing-only memory
+    /// too).
     pub fn allocated_bytes(&self) -> u64 {
-        self.segments.values().map(|s| s.data.len() as u64).sum()
+        self.segments.values().map(|s| s.len).sum()
     }
 }
 
@@ -383,6 +435,26 @@ mod tests {
         m.alloc(20, Location::Cxl);
         assert_eq!(m.allocated_bytes(), 30);
         assert_eq!(m.iter_segments().count(), 2);
+    }
+
+    #[test]
+    fn timing_only_byte_access_is_a_typed_error() {
+        let mut m = Memory::timing_only();
+        assert!(!m.holds_bytes());
+        let b = m.alloc(64, Location::local_dram());
+        let no_bytes = MemError::NoBytes { addr: b.addr() + 8 };
+        assert_eq!(m.read(b.addr() + 8, 16), Err(no_bytes));
+        assert_eq!(m.read(b.addr() + 8, 0), Err(no_bytes), "never an empty slice");
+        assert_eq!(m.read_mut(b.addr() + 8, 16).err(), Some(no_bytes));
+        assert_eq!(m.write(b.addr() + 8, &[1, 2]), Err(no_bytes));
+        // Bad ranges keep their own errors.
+        assert_eq!(m.read(0x10, 1), Err(MemError::Unmapped { addr: 0x10 }));
+        assert_eq!(
+            m.write(b.addr() + 60, &[0; 8]),
+            Err(MemError::CrossesSegments { addr: b.addr() + 60 })
+        );
+        assert_eq!(m.copy(b.addr(), b.addr() + 32, 32), Ok(()));
+        assert!(MemError::NoBytes { addr: 0x40 }.to_string().contains("timing-only"));
     }
 
     #[test]

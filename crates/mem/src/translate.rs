@@ -8,14 +8,15 @@
 
 use crate::buffer::{PageSize, SimBuffer};
 use dsa_sim::time::SimDuration;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A process page table mapping virtual ranges with their page size.
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
     // start -> (len, page size); ranges are disjoint.
     ranges: BTreeMap<u64, (u64, PageSize)>,
-    unmapped_pages: HashMap<u64, ()>,
+    // Bases of pages marked not present.
+    unmapped_pages: BTreeSet<u64>,
 }
 
 impl PageTable {
@@ -42,7 +43,7 @@ impl PageTable {
     pub fn unmap_page(&mut self, addr: u64) {
         if let Some(ps) = self.lookup(addr) {
             let page = addr / ps.bytes() * ps.bytes();
-            self.unmapped_pages.insert(page, ());
+            self.unmapped_pages.insert(page);
         }
     }
 
@@ -70,9 +71,30 @@ impl PageTable {
             None => false,
             Some(ps) => {
                 let page = addr / ps.bytes() * ps.bytes();
-                !self.unmapped_pages.contains_key(&page)
+                !self.unmapped_pages.contains(&page)
             }
         }
+    }
+
+    /// The device's fault scan over `[base, base+len)`: probes one
+    /// address per 4 KiB step from `base` and returns how many probes hit
+    /// a mapped, not-present page, plus the first such probe. A huge page
+    /// marked not present counts once per 4 KiB step inside it. Answers
+    /// `(0, None)` without probing while no page is marked not present.
+    pub fn scan_faults(&self, base: u64, len: u64) -> (u64, Option<u64>) {
+        if self.unmapped_pages.is_empty() {
+            return (0, None);
+        }
+        let (mut faults, mut first) = (0, None);
+        let mut a = base;
+        while a < base + len {
+            if self.lookup(a).is_some() && !self.is_present(a) {
+                faults += 1;
+                first.get_or_insert(a);
+            }
+            a += 4096;
+        }
+        (faults, first)
     }
 
     /// The base address of the page containing `addr`, if mapped.

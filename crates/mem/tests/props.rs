@@ -8,7 +8,7 @@
 use dsa_mem::agent::AgentId;
 use dsa_mem::buffer::{Location, PageSize};
 use dsa_mem::cache::{AllocPolicy, DdioTracker, Llc, WayMask};
-use dsa_mem::memory::Memory;
+use dsa_mem::memory::{MemError, Memory};
 use dsa_mem::translate::{PageTable, TranslationCache};
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::time::{SimDuration, SimTime};
@@ -183,4 +183,137 @@ fn ddio_spill_fraction_is_bounded_and_monotone() {
             last = f;
         }
     }
+}
+
+/// A random allocation: length 0..3 MiB, either page size, any location.
+fn random_alloc(rng: &mut SplitMix64) -> (u64, Location, PageSize) {
+    let len = rng.next_below(3 << 20);
+    let ps = if rng.next_below(4) == 0 { PageSize::Huge2M } else { PageSize::Base4K };
+    let loc = [Location::local_dram(), Location::remote_dram(), Location::Cxl, Location::Llc]
+        [rng.next_below(4) as usize];
+    (len, loc, ps)
+}
+
+#[test]
+fn timing_only_memory_hands_out_the_backed_layout() {
+    let mut rng = SplitMix64::new(0x3E3_000A);
+    for _ in 0..CASES {
+        let mut backed = Memory::new();
+        let mut timing = Memory::timing_only();
+        for _ in 0..1 + rng.next_below(12) {
+            let (len, loc, ps) = random_alloc(&mut rng);
+            let h = backed.alloc_with_pages(len, loc, ps);
+            assert_eq!(timing.alloc_with_pages(len, loc, ps), h);
+            if len > 0 {
+                let a = h.addr() + rng.next_below(len);
+                assert_eq!(timing.location_of(a), backed.location_of(a));
+                assert_eq!(timing.page_size_of(a), backed.page_size_of(a));
+            }
+        }
+        assert!(timing.iter_segments().eq(backed.iter_segments()));
+        assert_eq!(timing.allocated_bytes(), backed.allocated_bytes());
+    }
+}
+
+#[test]
+fn timing_only_copy_fails_exactly_where_a_backed_copy_fails() {
+    let mut rng = SplitMix64::new(0x3E3_000B);
+    let mut outcomes = [0u32; 3];
+    for _ in 0..CASES {
+        let mut backed = Memory::new();
+        let mut timing = Memory::timing_only();
+        let mut bufs = Vec::new();
+        for _ in 0..2 + rng.next_below(4) {
+            let len = 1 + rng.next_below(64 << 10);
+            bufs.push(backed.alloc(len, Location::local_dram()));
+            timing.alloc(len, Location::local_dram());
+        }
+        for _ in 0..64 {
+            // Addresses in, just past, and far outside the buffers, so
+            // valid, unmapped and cross-segment ranges all come up.
+            let pick = |rng: &mut SplitMix64| {
+                let b = bufs[rng.next_below(bufs.len() as u64) as usize];
+                match rng.next_below(8) {
+                    0 => rng.next_below(1 << 20),
+                    1 => b.addr() + b.len() + rng.next_below(1 << 13),
+                    _ => b.addr() + rng.next_below(b.len()),
+                }
+            };
+            let (src, dst) = (pick(&mut rng), pick(&mut rng));
+            let len = rng.next_below(16 << 10);
+            let got = backed.copy(src, dst, len);
+            assert_eq!(timing.copy(src, dst, len), got);
+            outcomes[match got {
+                Ok(()) => 0,
+                Err(MemError::Unmapped { .. }) => 1,
+                Err(_) => 2,
+            }] += 1;
+        }
+    }
+    assert!(outcomes.iter().all(|&n| n > 0), "ok/unmapped/crossing counts {outcomes:?}");
+}
+
+/// The device's fault scan as it stood before [`PageTable::scan_faults`]:
+/// probe every 4 KiB step, count mapped-but-not-present probes.
+fn scan_faults_reference(pt: &PageTable, base: u64, len: u64) -> (u64, Option<u64>) {
+    let (mut faults, mut first) = (0, None);
+    let mut a = base;
+    while a < base + len {
+        if pt.lookup(a).is_some() && !pt.is_present(a) {
+            faults += 1;
+            if first.is_none() {
+                first = Some(a);
+            }
+        }
+        a += 4096;
+    }
+    (faults, first)
+}
+
+#[test]
+fn scan_faults_matches_the_per_page_reference() {
+    let mut rng = SplitMix64::new(0x3E3_000C);
+    let mut faulted = 0u32;
+    for _ in 0..CASES {
+        // Random 4 KiB and 2 MiB mappings at page-aligned bases, with
+        // holes between them.
+        let mut pt = PageTable::new();
+        let mut ranges = Vec::new();
+        let mut next = 1u64 << 30;
+        for _ in 0..1 + rng.next_below(6) {
+            let ps = if rng.next_below(3) == 0 { PageSize::Huge2M } else { PageSize::Base4K };
+            let base = next.div_ceil(ps.bytes()) * ps.bytes();
+            let len = 1 + rng.next_below(6 << 20);
+            pt.map_range(base, len, ps);
+            ranges.push((base, len));
+            next = base + len + rng.next_below(1 << 20);
+        }
+        let probe = |rng: &mut SplitMix64| {
+            let (base, len) = ranges[rng.next_below(ranges.len() as u64) as usize];
+            base + rng.next_below(len + (64 << 10))
+        };
+        let check = |pt: &PageTable, rng: &mut SplitMix64, faulted: &mut u32| {
+            for _ in 0..16 {
+                // Unaligned bases, lengths from empty to past the mapping.
+                let base = probe(rng) - rng.next_below(8 << 10);
+                let len = rng.next_below(3 << 20);
+                let got = pt.scan_faults(base, len);
+                assert_eq!(got, scan_faults_reference(pt, base, len));
+                *faulted += u32::from(got.0 > 0);
+            }
+        };
+        check(&pt, &mut rng, &mut faulted);
+        // 0–16 pages marked not present, then serviced one by one.
+        let marked: Vec<u64> = (0..rng.next_below(17)).map(|_| probe(&mut rng)).collect();
+        for &a in &marked {
+            pt.unmap_page(a);
+        }
+        check(&pt, &mut rng, &mut faulted);
+        for &a in &marked {
+            pt.service_fault(a);
+            check(&pt, &mut rng, &mut faulted);
+        }
+        assert_eq!(pt.scan_faults(ranges[0].0, 8 << 20), (0, None), "every fault serviced");
+    }
+    assert!(faulted > CASES as u32, "only {faulted} scans met a not-present page");
 }

@@ -229,6 +229,13 @@ impl TenantState {
         };
     }
 
+    /// Serves the job's copy on the cores.
+    fn cpu_copy(&self, rt: &mut DsaRuntime) {
+        rt.cpu_op(OpKind::Memcpy, &self.src, &self.dst)
+            // dsa-lint: allow(unwrap, tenant buffers were allocated by this service's runtime)
+            .expect("tenant buffers are mapped");
+    }
+
     fn note_completion(&mut self, arrival: SimTime, completion: SimTime) -> SimDuration {
         let latency = completion.duration_since(arrival);
         self.stats.latency.record(latency);
@@ -286,10 +293,48 @@ impl DsaService {
     /// 8-WQ envelope allows). A config from
     /// [`ServiceConfig::builder`] has already passed this validation.
     pub fn from_config(cfg: ServiceConfig) -> Result<DsaService, DsaError> {
+        DsaService::build(cfg, false)
+    }
+
+    /// Forks a digital twin of this service: a fresh service running
+    /// `roster` under `plan` from `seed`, on this service's platform and
+    /// buffer location, over a [`timing_only`] runtime. Its timeline, and
+    /// so its report, is bit-identical to a [`from_config`] service built
+    /// from the same configuration, but its buffers hold no bytes: no
+    /// pattern fill at build, no byte moved per job.
+    ///
+    /// [`timing_only`]: dsa_core::runtime::RuntimeBuilder::timing_only
+    /// [`from_config`]: DsaService::from_config
+    ///
+    /// # Errors
+    ///
+    /// The builder validation of [`ServiceBuilder::build`] on the twin's
+    /// configuration.
+    pub fn fork_twin(
+        &self,
+        plan: &Plan,
+        roster: Vec<TenantSpec>,
+        seed: u64,
+    ) -> Result<DsaService, DsaError> {
+        let cfg = ServiceConfig::builder()
+            .plan(PlanSpec::Fixed(plan.clone()))
+            .seed(seed)
+            .platform(self.rt.platform().clone())
+            .location(self.location)
+            .tenants(roster)
+            .build()?;
+        DsaService::build(cfg, true)
+    }
+
+    fn build(cfg: ServiceConfig, timing_only: bool) -> Result<DsaService, DsaError> {
         let ServiceConfig { plan, seed, platform, location, slo, tenants: specs } = cfg;
         let device = plan.device_config()?;
         let wqs = plan.assign(&specs);
-        let mut rt = DsaRuntime::builder(platform).device(device).build();
+        let mut builder = DsaRuntime::builder(platform).device(device);
+        if timing_only {
+            builder = builder.timing_only();
+        }
+        let mut rt = builder.build();
         let mut master = SplitMix64::new(seed);
         let mut tenants = Vec::with_capacity(specs.len());
         for (i, spec) in specs.into_iter().enumerate() {
@@ -604,7 +649,7 @@ impl DsaService {
                     // the pages and finishes the move on the cores.
                     t.stats.faults += 1;
                     rt.advance_to(completion);
-                    rt.cpu_op(OpKind::Memcpy, &t.src, &t.dst);
+                    t.cpu_copy(rt);
                     completion = rt.now();
                 }
                 let latency = t.note_completion(arrival, completion);
@@ -628,7 +673,7 @@ impl DsaService {
                 // Graceful degradation: the device is saturated, so serve
                 // this job synchronously on the cores.
                 t.stats.exhausted += 1;
-                rt.cpu_op(OpKind::Memcpy, &t.src, &t.dst);
+                t.cpu_copy(rt);
                 let completion = rt.now();
                 let latency = t.note_completion(arrival, completion);
                 t.stats.cpu_completed += 1;

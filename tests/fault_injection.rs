@@ -2,6 +2,7 @@
 //! configurations, corrupted data, and record overflows must all surface
 //! as the architecture specifies — never as silent success.
 
+use dsa_core::backend::{CpuBackend, OffloadBackend, OffloadRequest};
 use dsa_core::config::AccelConfig;
 use dsa_core::job::Job;
 use dsa_core::runtime::DsaRuntime;
@@ -10,8 +11,10 @@ use dsa_device::config::{ConfigError, DeviceCaps};
 use dsa_device::descriptor::{Descriptor, Status};
 use dsa_device::device::{SubmitError, WqId};
 use dsa_mem::buffer::Location;
+use dsa_mem::memory::{BufferHandle, Memory};
+use dsa_mem::topology::Platform;
 use dsa_ops::dif::{DifBlockSize, DifConfig};
-use dsa_sim::SimTime;
+use dsa_sim::{SimDuration, SimTime};
 
 #[test]
 fn page_fault_partial_completion_reports_progress() {
@@ -136,6 +139,82 @@ fn unmapped_addresses_produce_invalid_descriptor_status() {
     let report = Job::from_descriptor(desc).execute(&mut rt).unwrap();
     assert_eq!(report.record.status, Status::InvalidDescriptor);
     assert_eq!(rt.device(0).telemetry().errors, 1);
+}
+
+/// A runtime with two 4 KiB buffers holding 0x33, plus a handle far
+/// outside every allocation of that runtime.
+fn runtime_and_wild_handle() -> (DsaRuntime, BufferHandle, BufferHandle, BufferHandle) {
+    let mut rt = DsaRuntime::spr_default();
+    let a = rt.alloc(4096, Location::local_dram());
+    let b = rt.alloc(4096, Location::local_dram());
+    rt.fill_pattern(&a, 0x33);
+    rt.fill_pattern(&b, 0x33);
+    let mut elsewhere = Memory::new();
+    elsewhere.alloc(64 << 20, Location::local_dram());
+    let wild = elsewhere.alloc(4096, Location::local_dram());
+    (rt, a, b, wild)
+}
+
+/// The CPU fallback reports an inaccessible operand the way the device
+/// does: `InvalidDescriptor`, no time charged, no byte written.
+fn assert_cpu_rejects(rt: &mut DsaRuntime, req: OffloadRequest, good: &[BufferHandle]) {
+    let now = rt.now();
+    let c = CpuBackend.run(rt, &req).unwrap();
+    assert_eq!(c.status, Status::InvalidDescriptor, "{:?}", req.op);
+    assert_eq!((c.elapsed, rt.now()), (SimDuration::ZERO, now), "{:?} charged time", req.op);
+    for buf in good {
+        assert!(rt.read(buf).unwrap().iter().all(|&x| x == 0x33), "{:?} wrote bytes", req.op);
+    }
+}
+
+#[test]
+fn cpu_fallback_memcpy_rejects_out_of_range_handles() {
+    let (mut rt, a, b, wild) = runtime_and_wild_handle();
+    assert_cpu_rejects(&mut rt, OffloadRequest::memcpy(&wild, &b), &[a, b]);
+    assert_cpu_rejects(&mut rt, OffloadRequest::memcpy(&a, &wild), &[a, b]);
+    // The device reports the same descriptor the same way.
+    let report = Job::memcpy(&a, &wild).execute(&mut rt).unwrap();
+    assert_eq!(report.record.status, Status::InvalidDescriptor);
+}
+
+#[test]
+fn cpu_fallback_fill_rejects_out_of_range_handles() {
+    let (mut rt, a, b, wild) = runtime_and_wild_handle();
+    assert_cpu_rejects(&mut rt, OffloadRequest::memset(&wild, 0x77), &[a, b]);
+}
+
+#[test]
+fn cpu_fallback_compare_rejects_out_of_range_handles() {
+    let (mut rt, a, b, wild) = runtime_and_wild_handle();
+    assert_cpu_rejects(&mut rt, OffloadRequest::memcmp(&wild, &b), &[a, b]);
+    assert_cpu_rejects(&mut rt, OffloadRequest::memcmp(&a, &wild), &[a, b]);
+    let same = CpuBackend.run(&mut rt, &OffloadRequest::memcmp(&a, &b)).unwrap();
+    assert_eq!(same.status, Status::Success, "valid operands still compare");
+}
+
+#[test]
+fn cpu_fallback_crc32_rejects_out_of_range_handles() {
+    let (mut rt, a, b, wild) = runtime_and_wild_handle();
+    assert_cpu_rejects(&mut rt, OffloadRequest::crc32(&wild), &[a, b]);
+}
+
+/// On a timing-only runtime nothing can be read, so a compare or CRC can
+/// never come back as a success over bytes that do not exist; copies
+/// still succeed and take the backed runtime's time.
+#[test]
+fn timing_only_cpu_fallback_never_fakes_a_read() {
+    let mut rt = DsaRuntime::builder(Platform::spr()).timing_only().build();
+    let a = rt.alloc(4096, Location::local_dram());
+    let b = rt.alloc(4096, Location::local_dram());
+    for req in [OffloadRequest::memcmp(&a, &b), OffloadRequest::crc32(&a)] {
+        let c = CpuBackend.run(&mut rt, &req).unwrap();
+        assert_eq!(c.status, Status::InvalidDescriptor, "{:?}", req.op);
+    }
+    let copy = CpuBackend.run(&mut rt, &OffloadRequest::memcpy(&a, &b)).unwrap();
+    assert_eq!(copy.status, Status::Success);
+    let (mut backed, a, b, _) = runtime_and_wild_handle();
+    let expected = CpuBackend.run(&mut backed, &OffloadRequest::memcpy(&a, &b)).unwrap();
+    assert_eq!(copy.elapsed, expected.elapsed);
 }
 
 #[test]
