@@ -10,7 +10,9 @@
 //! * the fleet-wide Jain fairness index over accelerator-served shares,
 //! * the p999 arrival-to-completion latency,
 //! * the deadline-miss rate (completions past deadline + admission sheds
-//!   over offered jobs).
+//!   over offered jobs),
+//! * ATC misses summed over every shard device — a deterministic work
+//!   counter the perfgate holds exactly, like the digest.
 //!
 //! The QoS story: devices do NOT scale with tenants, so the miss-rate and
 //! p999 curves rise with scale, and placement moves them — NUMA-local
@@ -84,6 +86,7 @@ struct Cell {
     p999_us: f64,
     miss_rate: f64,
     upi_crossers: u32,
+    atc_misses: u64,
     wall_s: f64,
 }
 
@@ -100,7 +103,7 @@ impl Cell {
         format!(
             "    {{\"workload\": \"fleet_scale\", \"scheduler\": \"{}\", \"events\": {}, \
              \"wall_s\": {:.6}, \"events_per_sec\": {:.0}, \"digest\": \"{:#018x}\", \
-             \"jain\": {:.6}, \"p999_us\": {:.3}, \"miss_rate\": {:.6}}}",
+             \"jain\": {:.6}, \"p999_us\": {:.3}, \"miss_rate\": {:.6}, \"atc_misses\": {}}}",
             self.lane(),
             self.completed,
             self.wall_s,
@@ -108,7 +111,8 @@ impl Cell {
             self.digest,
             self.fairness,
             self.p999_us,
-            self.miss_rate
+            self.miss_rate,
+            self.atc_misses
         )
     }
 }
@@ -126,6 +130,7 @@ fn run_cell(tenants: u64, placement: PoolPolicy) -> Cell {
         p999_us: rep.p999().map(|d| d.as_ps() as f64 / 1e6).unwrap_or(0.0),
         miss_rate: rep.deadline_miss_rate(),
         upi_crossers,
+        atc_misses: rep.atc_misses(),
         wall_s,
     }
 }
@@ -148,6 +153,7 @@ fn main() {
         "Jain",
         "p999 us",
         "miss rate",
+        "atc misses",
     ]);
 
     // Determinism proof on the smallest cell: two parallel runs and the
@@ -175,6 +181,7 @@ fn main() {
                 table::f2(c.fairness),
                 table::f2(c.p999_us),
                 table::f2(c.miss_rate),
+                c.atc_misses.to_string(),
             ]);
             cells.push(c);
         }

@@ -94,6 +94,15 @@ impl Default for Fnv1a {
     }
 }
 
+/// Formatting straight into the hash folds exactly the bytes the same
+/// `write!` into a `String` would produce, without building the string.
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Something with a canonical byte-stable digest representation.
 ///
 /// Implementors fold their canonical form into the hasher; `digest64`
@@ -181,6 +190,15 @@ mod tests {
     fn hex_matches_artifact_convention() {
         assert_eq!(hex(0x1234), "0x0000000000001234");
         assert_eq!(hex(u64::MAX), "0xffffffffffffffff");
+    }
+
+    #[test]
+    fn formatting_into_the_hasher_folds_the_formatted_bytes() {
+        use std::fmt::Write as _;
+        let mut h = Fnv1a::new();
+        let plan = "shared";
+        write!(h, "plan={plan} share={:.4} class={:?}", 0.25, Some(7)).unwrap();
+        assert_eq!(h.finish(), Fnv1a::digest(b"plan=shared share=0.2500 class=Some(7)"));
     }
 
     #[test]

@@ -138,12 +138,17 @@ impl Memory {
         !self.timing_only
     }
 
-    /// Allocates `len` zeroed bytes in `location` with 4 KiB pages.
+    /// Allocates `len` bytes in `location` with 4 KiB pages.
+    ///
+    /// Every byte of a fresh allocation reads as zero, whatever its length
+    /// or page size, so callers that want a zeroed buffer need not fill
+    /// it.
     pub fn alloc(&mut self, len: u64, location: Location) -> BufferHandle {
         self.alloc_with_pages(len, location, PageSize::Base4K)
     }
 
-    /// Allocates with an explicit page size.
+    /// Allocates with an explicit page size; zeroed like
+    /// [`alloc`](Memory::alloc).
     pub fn alloc_with_pages(
         &mut self,
         len: u64,
@@ -302,6 +307,18 @@ mod tests {
         m.write(b.addr() + 10, &[5, 6, 7]).unwrap();
         assert_eq!(m.read(b.addr() + 10, 3).unwrap(), &[5, 6, 7]);
         assert_eq!(m.read(b.addr(), 1).unwrap(), &[0]);
+    }
+
+    #[test]
+    fn fresh_allocations_read_as_zeros() {
+        let mut m = Memory::new();
+        for (i, len) in [1u64, 7, 100, 2049, 4095, 4097, 65_537].into_iter().enumerate() {
+            let ps = if i % 2 == 0 { PageSize::Base4K } else { PageSize::Huge2M };
+            let b = m.alloc_with_pages(len, Location::local_dram(), ps);
+            assert!(m.read(b.addr(), len).unwrap().iter().all(|&x| x == 0), "len {len}");
+            // Dirty it, so the next allocation cannot pass by reusing it.
+            m.read_mut(b.addr(), len).unwrap().fill(0xA5);
+        }
     }
 
     #[test]

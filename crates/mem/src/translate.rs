@@ -41,16 +41,14 @@ impl PageTable {
     /// Marks the page containing `addr` as *not present* (fault injection —
     /// models lazily-allocated or swapped-out pages).
     pub fn unmap_page(&mut self, addr: u64) {
-        if let Some(ps) = self.lookup(addr) {
-            let page = addr / ps.bytes() * ps.bytes();
+        if let Some(page) = self.page_base(addr) {
             self.unmapped_pages.insert(page);
         }
     }
 
     /// Makes the page containing `addr` present again (fault serviced).
     pub fn service_fault(&mut self, addr: u64) {
-        if let Some(ps) = self.lookup(addr) {
-            let page = addr / ps.bytes() * ps.bytes();
+        if let Some(page) = self.page_base(addr) {
             self.unmapped_pages.remove(&page);
         }
     }
@@ -65,15 +63,18 @@ impl PageTable {
         }
     }
 
+    /// The base of the page containing `addr` and whether that page is
+    /// present, from one range lookup; `None` when `addr` is unmapped.
+    /// Answers `present` without a probe while no page is marked not
+    /// present.
+    pub fn resolve(&self, addr: u64) -> Option<(u64, bool)> {
+        let page = self.page_base(addr)?;
+        Some((page, self.unmapped_pages.is_empty() || !self.unmapped_pages.contains(&page)))
+    }
+
     /// True if `addr` is mapped *and* present (would not fault).
     pub fn is_present(&self, addr: u64) -> bool {
-        match self.lookup(addr) {
-            None => false,
-            Some(ps) => {
-                let page = addr / ps.bytes() * ps.bytes();
-                !self.unmapped_pages.contains(&page)
-            }
-        }
+        matches!(self.resolve(addr), Some((_, true)))
     }
 
     /// The device's fault scan over `[base, base+len)`: probes one
@@ -88,7 +89,7 @@ impl PageTable {
         let (mut faults, mut first) = (0, None);
         let mut a = base;
         while a < base + len {
-            if self.lookup(a).is_some() && !self.is_present(a) {
+            if let Some((_, false)) = self.resolve(a) {
                 faults += 1;
                 first.get_or_insert(a);
             }
@@ -118,6 +119,13 @@ pub struct TranslateOutcome {
 
 /// An LRU translation cache — models both core TLBs and the device ATC.
 ///
+/// A translation costs O(log capacity) host time, with no scan over the
+/// cached translations: LRU order lives in an intrusive doubly-linked
+/// list over a slab of at most `capacity` nodes (front = most recently
+/// touched), and an index maps each cached page base to its slot. A hit
+/// moves its node to the front; a miss on a full cache evicts the tail,
+/// which is exactly the least recently touched translation.
+///
 /// ```
 /// use dsa_mem::translate::{PageTable, TranslationCache};
 /// use dsa_mem::buffer::PageSize;
@@ -133,17 +141,30 @@ pub struct TranslateOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TranslationCache {
-    // BTreeMap, not HashMap: eviction scans the entries, and the R6
-    // det-taint rule is right that hash iteration order would leak into
-    // the victim choice (ticks break ties deterministically only because
-    // they are unique — the *scan order* must still be stable).
-    entries: BTreeMap<u64, u64>, // page base -> last use tick
+    // Page base -> slot in `nodes`. Nothing iterates it, so its order
+    // never reaches a result.
+    index: BTreeMap<u64, u32>,
+    // The slab: exactly one node per cached translation, so
+    // `nodes.len() == index.len() <= capacity`.
+    nodes: Vec<Node>,
+    // Most and least recently touched slots (`NIL` when empty).
+    head: u32,
+    tail: u32,
     capacity: usize,
     walk_latency: SimDuration,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
+
+/// One cached translation and its LRU neighbours (`NIL` at either end).
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    page: u64,
+    prev: u32,
+    next: u32,
+}
+
+const NIL: u32 = u32::MAX;
 
 impl TranslationCache {
     /// Creates a cache holding `capacity` translations with the given
@@ -151,50 +172,122 @@ impl TranslationCache {
     ///
     /// # Panics
     ///
-    /// Panics if `capacity == 0`.
+    /// Panics if `capacity == 0` or `capacity >= u32::MAX`.
     pub fn new(capacity: usize, walk_latency: SimDuration) -> TranslationCache {
         assert!(capacity > 0, "translation cache needs capacity");
+        assert!(capacity < NIL as usize, "translation cache slots are u32");
         TranslationCache {
-            entries: BTreeMap::new(),
+            index: BTreeMap::new(),
+            nodes: Vec::new(),
+            head: NIL,
+            tail: NIL,
             capacity,
             walk_latency,
-            tick: 0,
             hits: 0,
             misses: 0,
         }
     }
 
     /// Translates `addr` against `pt`, charging a walk on a miss.
+    ///
+    /// A miss on a full cache evicts the least recently touched
+    /// translation even when `addr`'s page is not present and so is not
+    /// cached in its place.
     pub fn translate(&mut self, pt: &PageTable, addr: u64) -> TranslateOutcome {
-        self.tick += 1;
-        let Some(ps) = pt.lookup(addr) else {
+        let Some((page, present)) = pt.resolve(addr) else {
             // Unmapped address: full walk that ends in a fault.
             self.misses += 1;
             return TranslateOutcome { cost: self.walk_latency, fault: true, hit: false };
         };
-        let page = addr / ps.bytes() * ps.bytes();
-        let present = pt.is_present(addr);
-        if let Some(t) = self.entries.get_mut(&page) {
-            *t = self.tick;
+        if let Some(&slot) = self.index.get(&page) {
+            self.unlink(slot);
+            self.push_front(slot);
             self.hits += 1;
             return TranslateOutcome { cost: SimDuration::ZERO, fault: !present, hit: true };
         }
         self.misses += 1;
-        if self.entries.len() >= self.capacity {
-            // Evict the LRU entry.
-            if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, &t)| t) {
-                self.entries.remove(&victim);
-            }
-        }
+        let freed = (self.nodes.len() >= self.capacity).then(|| self.evict_lru());
         if present {
-            self.entries.insert(page, self.tick);
+            let slot = match freed {
+                Some(slot) => {
+                    self.nodes[slot as usize].page = page;
+                    slot
+                }
+                None => {
+                    self.nodes.push(Node { page, prev: NIL, next: NIL });
+                    (self.nodes.len() - 1) as u32
+                }
+            };
+            self.push_front(slot);
+            self.index.insert(page, slot);
+        } else if let Some(slot) = freed {
+            self.release(slot);
         }
         TranslateOutcome { cost: self.walk_latency, fault: !present, hit: false }
     }
 
+    /// Translations currently cached (the slab's length, never above
+    /// the capacity).
+    pub fn cached(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Unlinks the least recently touched node and drops it from the
+    /// index, returning its now-free slot.
+    fn evict_lru(&mut self) -> u32 {
+        let slot = self.tail;
+        self.unlink(slot);
+        self.index.remove(&self.nodes[slot as usize].page);
+        slot
+    }
+
+    /// Detaches `slot` from the LRU list.
+    fn unlink(&mut self, slot: u32) {
+        let Node { prev, next, .. } = self.nodes[slot as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+    }
+
+    /// Links a detached `slot` in as the most recently touched node.
+    fn push_front(&mut self, slot: u32) {
+        let old = self.head;
+        self.nodes[slot as usize].prev = NIL;
+        self.nodes[slot as usize].next = old;
+        match old {
+            NIL => self.tail = slot,
+            h => self.nodes[h as usize].prev = slot,
+        }
+        self.head = slot;
+    }
+
+    /// Removes a detached, unindexed `slot` from the slab by moving the
+    /// last node into it, so the slab stays one node per translation.
+    fn release(&mut self, slot: u32) {
+        self.nodes.swap_remove(slot as usize);
+        let Some(&moved) = self.nodes.get(slot as usize) else { return };
+        match moved.prev {
+            NIL => self.head = slot,
+            p => self.nodes[p as usize].next = slot,
+        }
+        match moved.next {
+            NIL => self.tail = slot,
+            n => self.nodes[n as usize].prev = slot,
+        }
+        self.index.insert(moved.page, slot);
+    }
+
     /// Drops every cached translation (e.g. TLB shootdown).
     pub fn flush(&mut self) {
-        self.entries.clear();
+        self.index.clear();
+        self.nodes.clear();
+        self.head = NIL;
+        self.tail = NIL;
     }
 
     /// Hit count since creation.

@@ -9,9 +9,10 @@ use dsa_mem::agent::AgentId;
 use dsa_mem::buffer::{Location, PageSize};
 use dsa_mem::cache::{AllocPolicy, DdioTracker, Llc, WayMask};
 use dsa_mem::memory::{MemError, Memory};
-use dsa_mem::translate::{PageTable, TranslationCache};
+use dsa_mem::translate::{PageTable, TranslateOutcome, TranslationCache};
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 const CASES: usize = 32;
 
@@ -140,6 +141,132 @@ fn translation_hits_iff_page_cached() {
             seen.insert(p);
         }
     }
+}
+
+/// [`TranslationCache`] as it stood before its linked-list LRU: each
+/// cached page base carries the tick of its last touch, and a miss on a
+/// full cache scans every entry for the minimum tick. Also counts the
+/// capacity evictions it makes.
+struct MinTickCache {
+    entries: BTreeMap<u64, u64>,
+    capacity: usize,
+    walk_latency: SimDuration,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl MinTickCache {
+    fn new(capacity: usize, walk_latency: SimDuration) -> MinTickCache {
+        MinTickCache {
+            entries: BTreeMap::new(),
+            capacity,
+            walk_latency,
+            tick: 0,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+        }
+    }
+
+    fn translate(&mut self, pt: &PageTable, addr: u64) -> TranslateOutcome {
+        self.tick += 1;
+        let Some(ps) = pt.lookup(addr) else {
+            self.misses += 1;
+            return TranslateOutcome { cost: self.walk_latency, fault: true, hit: false };
+        };
+        let page = addr / ps.bytes() * ps.bytes();
+        let present = pt.is_present(addr);
+        if let Some(t) = self.entries.get_mut(&page) {
+            *t = self.tick;
+            self.hits += 1;
+            return TranslateOutcome { cost: SimDuration::ZERO, fault: !present, hit: true };
+        }
+        self.misses += 1;
+        if self.entries.len() >= self.capacity {
+            if let Some((&victim, _)) = self.entries.iter().min_by_key(|(_, &t)| t) {
+                self.entries.remove(&victim);
+                self.evictions += 1;
+            }
+        }
+        if present {
+            self.entries.insert(page, self.tick);
+        }
+        TranslateOutcome { cost: self.walk_latency, fault: !present, hit: false }
+    }
+
+    fn flush(&mut self) {
+        self.entries.clear();
+    }
+}
+
+#[test]
+fn lru_translation_cache_matches_the_min_tick_reference() {
+    let mut rng = SplitMix64::new(0x3E3_000D);
+    let (mut hits, mut faults, mut evictions, mut flushes) = (0u64, 0u64, 0u64, 0u64);
+    for capacity in [1usize, 2, 8, 128] {
+        for _ in 0..8 {
+            // A 4 KiB mapping with half again as many pages as the cache
+            // holds, a hole, then eight 2 MiB pages.
+            let small_pages = (capacity + capacity / 2 + 2) as u64;
+            let (small, hole, huge) = (1u64 << 30, 1u64 << 31, 1u64 << 32);
+            let mut pt = PageTable::new();
+            pt.map_range(small, small_pages * 4096, PageSize::Base4K);
+            pt.map_range(huge, 8 << 21, PageSize::Huge2M);
+            let pick = |rng: &mut SplitMix64| {
+                if rng.next_below(4) == 0 {
+                    huge + rng.next_below(8 << 21)
+                } else {
+                    small + rng.next_below(small_pages * 4096)
+                }
+            };
+            let walk = SimDuration::from_ns(100 + capacity as u64);
+            let mut lru = TranslationCache::new(capacity, walk);
+            let mut reference = MinTickCache::new(capacity, walk);
+            let mut marked = Vec::new();
+            for step in 0..3_000 {
+                let addr = match rng.next_below(32) {
+                    0 | 1 => hole + rng.next_below(1 << 20),
+                    2 | 3 => {
+                        let a = pick(&mut rng);
+                        pt.unmap_page(a);
+                        marked.push(a);
+                        continue;
+                    }
+                    4 | 5 => {
+                        if let Some(a) = marked.pop() {
+                            pt.service_fault(a);
+                        }
+                        continue;
+                    }
+                    6 if rng.next_below(16) == 0 => {
+                        lru.flush();
+                        reference.flush();
+                        flushes += 1;
+                        continue;
+                    }
+                    _ => pick(&mut rng),
+                };
+                let want = reference.translate(&pt, addr);
+                assert_eq!(
+                    lru.translate(&pt, addr),
+                    want,
+                    "capacity {capacity}, step {step}, addr {addr:#x}"
+                );
+                assert_eq!(lru.cached(), reference.entries.len());
+                assert!(lru.cached() <= capacity, "slab outgrew the capacity");
+                hits += u64::from(want.hit);
+                faults += u64::from(want.fault);
+            }
+            assert_eq!((lru.hits(), lru.misses()), (reference.hits, reference.misses));
+            evictions += reference.evictions;
+        }
+    }
+    assert!(
+        hits > 0 && faults > 0 && evictions > 0 && flushes > 0,
+        "hits {hits}, faults {faults}, evictions {evictions}, flushes {flushes}"
+    );
 }
 
 #[test]

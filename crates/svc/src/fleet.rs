@@ -413,6 +413,11 @@ pub struct ShardReport {
     pub latency: DurationHistogram,
     /// The shard service's replay digest.
     pub digest: u64,
+    /// Address translations the shard device's ATC served from cache.
+    pub atc_hits: u64,
+    /// Address translations that missed the shard device's ATC (IOMMU
+    /// walks) — a deterministic work counter, gated exactly in CI.
+    pub atc_misses: u64,
 }
 
 impl ShardReport {
@@ -421,6 +426,7 @@ impl ShardReport {
     /// shard's service their own way and still produce the same row the
     /// stock [`Fleet::run_parallel`] loop would.
     pub fn from_service(a: ShardAssignment, svc: &DsaService, rep: &ServiceReport) -> ShardReport {
+        let device = svc.runtime().device(0).telemetry();
         let mut out = ShardReport {
             shard: a.shard,
             socket: a.socket,
@@ -441,6 +447,8 @@ impl ShardReport {
             makespan: rep.makespan,
             latency: DurationHistogram::new(),
             digest: rep.digest(),
+            atc_hits: device.atc_hits,
+            atc_misses: device.atc_misses,
         };
         for t in 0..svc.tenant_count() {
             let st = svc.stats(t);
@@ -517,6 +525,16 @@ impl FleetReport {
     /// Jobs generated across the fleet.
     pub fn offered(&self) -> u64 {
         self.shards.iter().map(|s| s.offered).sum()
+    }
+
+    /// ATC hits across every shard device.
+    pub fn atc_hits(&self) -> u64 {
+        self.shards.iter().map(|s| s.atc_hits).sum()
+    }
+
+    /// ATC misses (IOMMU walks) across every shard device.
+    pub fn atc_misses(&self) -> u64 {
+        self.shards.iter().map(|s| s.atc_misses).sum()
     }
 
     /// Jobs completed on either path across the fleet.
@@ -749,6 +767,7 @@ mod tests {
         let par = fleet.run_parallel(4).unwrap();
         assert_eq!(seq.digest, par.digest, "2-thread run must replay bit-identically");
         assert_eq!(seq.offered(), par.offered());
+        assert_eq!((seq.atc_hits(), seq.atc_misses()), (par.atc_hits(), par.atc_misses()));
     }
 
     #[test]
@@ -764,6 +783,11 @@ mod tests {
         assert!(rep.fairness > 0.0 && rep.fairness <= 1.0 + 1e-9);
         assert!(rep.makespan > SimTime::ZERO);
         assert!(rep.latency.count() > 0);
+        // Every accelerator-served job translated its source and
+        // destination once each.
+        let dsa_jobs: u64 = rep.shards.iter().map(|s| s.dsa_completed).sum();
+        assert!(rep.atc_misses() > 0);
+        assert_eq!(rep.atc_hits() + rep.atc_misses(), 2 * dsa_jobs);
     }
 
     #[test]

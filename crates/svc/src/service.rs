@@ -35,6 +35,7 @@ use dsa_sim::rng::SplitMix64;
 use dsa_sim::stats::jain_fairness;
 use dsa_sim::time::{SimDuration, SimTime};
 use dsa_telemetry::{Hub, Labels};
+use std::fmt;
 
 /// Exponential-backoff cap: base backoff never grows beyond 64×.
 const MAX_BACKOFF_SHIFT: u32 = 6;
@@ -341,7 +342,6 @@ impl DsaService {
             let src = rt.alloc(spec.xfer, location);
             let dst = rt.alloc(spec.xfer, location);
             rt.fill_pattern(&src, (i as u8).wrapping_mul(37).wrapping_add(1));
-            rt.fill_pattern(&dst, 0);
             let mut rng = master.split();
             let base = SimTime::ZERO + spec.start;
             let first =
@@ -850,17 +850,23 @@ impl ServiceReport {
     /// string (and [`digest`](Self::digest)) is bit-identical across
     /// replays of the same configuration.
     pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        let _ = writeln!(
+        // Writing into a String cannot fail.
+        let _ = self.write_summary(&mut out);
+        out
+    }
+
+    /// Streams [`summary`](Self::summary)'s text into `out`.
+    fn write_summary(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        writeln!(
             out,
             "plan={} fairness={:.4} makespan_ps={}",
             self.plan,
             self.fairness,
             self.makespan.as_ps()
-        );
+        )?;
         for t in &self.tenants {
-            let _ = writeln!(
+            writeln!(
                 out,
                 "{} class={:?} wq={} offered={} dsa={} cpu={} shed={} failed={} \
                  retries={} misses={} share={:.4} p50_ps={} p99_ps={} p999_ps={} mean_ps={}",
@@ -879,13 +885,14 @@ impl ServiceReport {
                 t.p99.as_ps(),
                 t.p999.as_ps(),
                 t.mean.as_ps()
-            );
+            )?;
         }
-        out
+        Ok(())
     }
 
-    /// FNV-1a hash of [`summary`](Self::summary) — one number to compare
-    /// for bit-identical replay. Equivalent to
+    /// FNV-1a hash of [`summary`](Self::summary)'s bytes — one number to
+    /// compare for bit-identical replay, hashed as it is formatted, with
+    /// no string built. Equivalent to
     /// [`Digestible::digest64`]; kept as the idiomatic name report
     /// consumers already use.
     pub fn digest(&self) -> u64 {
@@ -895,7 +902,8 @@ impl ServiceReport {
 
 impl Digestible for ServiceReport {
     fn fold(&self, h: &mut Fnv1a) {
-        h.write(self.summary().as_bytes());
+        // Writing into the hasher cannot fail.
+        let _ = self.write_summary(h);
     }
 }
 
@@ -1064,9 +1072,38 @@ mod tests {
 
     #[test]
     fn report_digest_matches_unified_digestible() {
+        // A run's report, plus a hand-built one in which every summarised
+        // field is non-zero: shares, percentiles, misses and retries.
         let mut s = svc(PlanSpec::Dedicated, two_tenants());
-        let rep = s.run();
-        assert_eq!(rep.digest(), rep.digest64());
-        assert_eq!(rep.digest(), Fnv1a::digest(rep.summary().as_bytes()));
+        let busy = ServiceReport {
+            plan: "by-class".to_string(),
+            tenants: (0..3u64)
+                .map(|i| TenantReport {
+                    name: format!("tenant-{i}"),
+                    class: if i == 0 { QosClass::Latency } else { QosClass::Throughput },
+                    wq: 1 + i as usize,
+                    offered: 100 + i,
+                    dsa_completed: 70 + i,
+                    cpu_completed: 20 + i,
+                    shed: 5 + i,
+                    failed: 3 + i,
+                    retries: 40 + i,
+                    deadline_misses: 7 + i,
+                    dsa_share: 0.7 + 0.01 * i as f64,
+                    p50: SimDuration::from_ns(1_500 + i),
+                    p99: SimDuration::from_ns(9_000 + i),
+                    p999: SimDuration::from_ns(12_345 + i),
+                    mean: SimDuration::from_ns(2_000 + i),
+                })
+                .collect(),
+            fairness: 0.9876,
+            makespan: SimTime::from_ns(987_654),
+            slo: Some(SloTarget::new().with_p99(SimDuration::from_us(10))),
+            transitions: 2,
+        };
+        for rep in [s.run(), busy] {
+            assert_eq!(rep.digest(), rep.digest64());
+            assert_eq!(rep.digest(), Fnv1a::digest(rep.summary().as_bytes()));
+        }
     }
 }

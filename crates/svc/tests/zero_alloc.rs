@@ -1,14 +1,16 @@
-//! Steady-state allocation audit of the service's action queue and of
-//! building its submission jobs.
+//! Steady-state allocation audit of the service's action queue, of
+//! building its submission jobs, and of digesting its report.
 //!
-//! Both zero-allocation properties are *measured*, not comments: this
+//! The zero-allocation properties are *measured*, not comments: this
 //! binary installs a counting global allocator and asserts that once an
 //! [`ActionQueue`] has warmed up, tens of thousands of further
 //! pop/peek/re-schedule rounds — the service loop's pattern — touch the
-//! heap exactly zero times, and that building a tenant's `Job::memcpy` and
-//! validating its descriptor does not either. It audits those two pieces
-//! only, not `DsaService::step` as a whole (device execution keeps its own
-//! records per submission).
+//! heap exactly zero times, that building a tenant's `Job::memcpy` and
+//! validating its descriptor does not either, and that digesting a
+//! finished report with thousands of tenants (once per fleet shard) hashes
+//! its summary as it is formatted, without building the string. It audits
+//! those pieces only, not `DsaService::step` as a whole (device execution
+//! keeps its own records per submission).
 //!
 //! One `#[test]` only: the counter is process-global, so a second parallel
 //! test would count its own allocations into ours.
@@ -17,6 +19,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use dsa_core::digest::Fnv1a;
 use dsa_core::job::Job;
 use dsa_core::runtime::DsaRuntime;
 use dsa_device::config::DeviceCaps;
@@ -24,6 +27,7 @@ use dsa_mem::buffer::Location;
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::time::{SimDuration, SimTime};
 use dsa_svc::actionq::ActionQueue;
+use dsa_svc::prelude::{DsaService, PlanSpec, ServiceConfig, TenantProfile};
 
 /// Wraps the system allocator, counting every heap acquisition
 /// (alloc/realloc/alloc_zeroed). Deallocations are free to happen — the
@@ -57,6 +61,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOC: CountingAlloc = CountingAlloc;
 
 const TENANTS: usize = 256;
+/// Tenants in the digested report: one fleet shard's share of 100k.
+const REPORT_TENANTS: u64 = 3_125;
 
 /// One service-loop round: pop the earliest tenant and re-schedule it a
 /// seeded delay later (on a coarse grid, so ties are common); every
@@ -76,6 +82,15 @@ fn action_queue_steady_state_is_allocation_free() {
     let src = rt.alloc(4096, Location::local_dram());
     let dst = rt.alloc(4096, Location::local_dram());
     let caps = DeviceCaps::dsa1();
+    let report = DsaService::from_config(
+        ServiceConfig::builder()
+            .plan(PlanSpec::Shared)
+            .tenants((0..REPORT_TENANTS).map(|gid| TenantProfile::small().spec(gid)))
+            .build()
+            .expect("a shared-WQ roster of small tenants is valid"),
+    )
+    .expect("the service builds")
+    .run();
     let mut q = ActionQueue::with_tenants(TENANTS);
     let mut rng = SplitMix64::new(0xA110_C8ED);
     for tenant in 0..TENANTS {
@@ -114,4 +129,17 @@ fn action_queue_steady_state_is_allocation_free() {
         "{} heap allocation(s) building 50000 submission jobs",
         after - before
     );
+
+    // Digesting a report folds its summary straight into the hasher.
+    let before = HEAP_OPS.load(Ordering::SeqCst);
+    let digest = report.digest();
+    let after = HEAP_OPS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "{} heap allocation(s) digesting a {REPORT_TENANTS}-tenant report",
+        after - before
+    );
+    assert_eq!(report.tenants.len() as u64, REPORT_TENANTS);
+    assert_eq!(digest, Fnv1a::digest(report.summary().as_bytes()));
 }
