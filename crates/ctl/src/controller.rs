@@ -2,17 +2,17 @@
 //! [`DsaService`].
 //!
 //! [`Governor::govern`] drives the service in fixed epochs with
-//! [`DsaService::run_until`], reads *windowed* telemetry for the epoch
-//! just finished (a [`HubWindow`] over the service's hub — deltas, not
-//! cumulative totals), and checks the window against the service's typed
-//! [`SloTarget`]. Under pressure it generates candidate reconfigurations
-//! ([`crate::candidates`]), scores each — incumbent included — by
-//! forking a cheap **digital twin**: a fresh, timing-only `DsaService`
-//! seeded deterministically from the live one, carrying the remaining
-//! (truncated) per-tenant workloads under the candidate plan. The best
-//! candidate is adopted through [`DsaService::transition`] only when it
-//! clears a hysteresis margin over the incumbent's own twin score, which
-//! damps plan thrash.
+//! [`DsaService::run_until`], reads the epoch just finished as the change
+//! in each tenant's [`TenantStats`] since the previous epoch boundary
+//! (deltas, not cumulative totals), and checks that window against the
+//! service's typed [`SloTarget`]. Under pressure it generates candidate
+//! reconfigurations ([`crate::candidates`]), scores each — incumbent
+//! included — by forking a cheap **digital twin**: a fresh, timing-only
+//! `DsaService` seeded deterministically from the live one, carrying the
+//! remaining (truncated) per-tenant workloads under the candidate plan.
+//! The best candidate is adopted through [`DsaService::transition`] only
+//! when it clears a hysteresis margin over the incumbent's own twin
+//! score, which damps plan thrash.
 //!
 //! Everything the loop reads and writes is deterministic simulation
 //! state: same seed ⇒ bit-identical epoch boundaries, observations, twin
@@ -27,9 +27,7 @@ use dsa_sim::time::{SimDuration, SimTime};
 use dsa_svc::plan::{Plan, TransitionCosts};
 use dsa_svc::service::DsaService;
 use dsa_svc::slo::SloTarget;
-use dsa_svc::tenant::QosClass;
-use dsa_telemetry::metrics::Labels;
-use dsa_telemetry::window::HubWindow;
+use dsa_svc::tenant::{QosClass, TenantStats};
 
 /// Tuning for a [`Governor`]. All defaults are deliberately conservative:
 /// the loop observes every 20 µs, ignores windows too thin to judge, and
@@ -73,7 +71,8 @@ impl Default for ControllerConfig {
 }
 
 /// What one closed window showed: job counts, the worst per-tenant tail,
-/// and windowed fairness. Pure data derived from deterministic telemetry.
+/// and windowed fairness. Pure data derived from the service's own
+/// per-tenant accounting.
 #[derive(Clone, Debug)]
 pub struct Observation {
     /// Jobs generated in the window.
@@ -96,8 +95,18 @@ pub struct Observation {
 }
 
 impl Observation {
-    /// Reads the window deltas for every tenant of `svc`.
-    pub fn from_window(w: &HubWindow, svc: &DsaService) -> Observation {
+    /// The window since `was`, a snapshot of every tenant's
+    /// [`DsaService::stats`]: each field is the change in the matching
+    /// stats field. A tenant's window p99 comes from the buckets its
+    /// latency histogram gained, clamped to the tenant's all-time min/max
+    /// — the same histogram
+    /// [`ServiceReport::slo_violations`](dsa_svc::service::ServiceReport::slo_violations)
+    /// reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `was` holds more entries than `svc` has tenants.
+    pub fn since(was: &[TenantStats], svc: &DsaService) -> Observation {
         let mut obs = Observation {
             offered: 0,
             completed: 0,
@@ -108,28 +117,25 @@ impl Observation {
             worst_tenant: None,
             worst_throughput_tenant: None,
         };
+        let mut worst_throughput_p99 = None;
         let mut shares = Vec::with_capacity(svc.tenant_count());
-        for i in 0..svc.tenant_count() {
-            let t = Labels::tenant(i as u16);
-            obs.offered += w.counter_delta("svc_offered", t);
-            let done = w.counter_delta("svc_jobs", t) + w.counter_delta("svc_degraded", t);
+        for (i, was) in was.iter().enumerate() {
+            let now = svc.stats(i);
+            obs.offered += now.offered - was.offered;
+            let done = now.completed() - was.completed();
             obs.completed += done;
             shares.push(done as f64);
-            obs.shed += w.counter_delta("svc_shed", t);
-            obs.misses += w.counter_delta("svc_deadline_miss", t);
-            let lat = w.histogram_delta_tenant("svc_latency", i as u16);
-            if let Some(p99) = lat.percentile(99.0) {
+            obs.shed += now.shed - was.shed;
+            obs.misses += now.deadline_misses - was.deadline_misses;
+            if let Some(p99) = now.latency.delta_since(&was.latency).percentile(99.0) {
                 if obs.p99.is_none_or(|worst| p99 > worst) {
                     obs.p99 = Some(p99);
                     obs.worst_tenant = Some(i);
                 }
                 if svc.tenant_spec(i).class == QosClass::Throughput
-                    && obs.worst_throughput_tenant.is_none_or(|j| {
-                        w.histogram_delta_tenant("svc_latency", j as u16)
-                            .percentile(99.0)
-                            .is_none_or(|other| p99 > other)
-                    })
+                    && worst_throughput_p99.is_none_or(|worst| p99 > worst)
                 {
+                    worst_throughput_p99 = Some(p99);
                     obs.worst_throughput_tenant = Some(i);
                 }
             }
@@ -168,6 +174,11 @@ impl Observation {
     }
 }
 
+/// Every tenant's stats as of now: the anchor of the next window.
+fn snapshot(svc: &DsaService) -> Vec<TenantStats> {
+    (0..svc.tenant_count()).map(|i| svc.stats(i).clone()).collect()
+}
+
 /// The deterministic control loop. See the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct Governor {
@@ -191,9 +202,13 @@ impl Governor {
     /// A service with no [`SloTarget`] is driven identically but never
     /// re-planned: the step sequence — and therefore the digest — matches
     /// an ungoverned [`DsaService::run`] bit for bit.
+    ///
+    /// The governed run is traced ([`DsaService::trace`]) so its job
+    /// critical paths can be read from the runtime's hub afterwards; the
+    /// loop itself reads nothing from the hub, only [`DsaService::stats`].
     pub fn govern(&self, svc: &mut DsaService) -> ControlReport {
-        let hub = svc.trace();
-        let mut window = HubWindow::new(hub);
+        svc.trace();
+        let mut was = snapshot(svc);
         let slo = svc.slo().copied();
         let mut decisions = Vec::new();
         let mut epochs = 0u32;
@@ -205,7 +220,7 @@ impl Governor {
             svc.run_until(until);
             epochs += 1;
             if let Some(slo) = &slo {
-                let obs = Observation::from_window(&window, svc);
+                let obs = Observation::since(&was, svc);
                 if obs.offered >= self.cfg.min_window_offered
                     && svc.transitions() < self.cfg.max_transitions
                     && obs.pressure(slo)
@@ -215,7 +230,7 @@ impl Governor {
                     }
                 }
             }
-            window.mark();
+            was = snapshot(svc);
             match svc.next_ready() {
                 Some(t) => until = t.max(until) + self.cfg.epoch,
                 None => break,
@@ -321,5 +336,95 @@ impl Governor {
         let rep = svc.fork_twin(plan, roster, h.finish()).ok()?.run();
         let makespan_s = (rep.makespan - SimTime::ZERO).as_ns_f64() * 1e-9;
         Some(rep.deadline_miss_rate() * 1000.0 + (1.0 - rep.fairness) * 10.0 + makespan_s + stall_s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dsa_svc::prelude::*;
+
+    /// A latency tenant with a tight deadline sharing one WQ with a bulk
+    /// tenant, so windows see misses as well as completions.
+    fn shared_pair() -> DsaService {
+        let cfg = ServiceConfig::builder()
+            .plan(PlanSpec::Shared)
+            .tenant(
+                TenantSpec::new("lat", 4 << 10, 40)
+                    .with_class(QosClass::Latency)
+                    .with_deadline(SimDuration::from_us(3))
+                    .with_arrival(Arrival::open(SimDuration::from_us(1))),
+            )
+            .tenant(
+                TenantSpec::new("bulk", 64 << 10, 40)
+                    .with_arrival(Arrival::open(SimDuration::from_us(1))),
+            )
+            .build()
+            .unwrap();
+        DsaService::from_config(cfg).unwrap()
+    }
+
+    /// Checks every field of `obs` against the change from `was` to
+    /// `now`, recomputed tenant by tenant.
+    fn assert_window(obs: &Observation, was: &[TenantStats], now: &[TenantStats]) {
+        let delta = |f: fn(&TenantStats) -> u64| -> Vec<u64> {
+            was.iter().zip(now).map(|(w, n)| f(n) - f(w)).collect()
+        };
+        let done = delta(|s| s.dsa_completed + s.cpu_completed);
+        assert_eq!(obs.offered, delta(|s| s.offered).iter().sum::<u64>());
+        assert_eq!(obs.completed, done.iter().sum::<u64>());
+        assert_eq!(obs.shed, delta(|s| s.shed).iter().sum::<u64>());
+        assert_eq!(obs.misses, delta(|s| s.deadline_misses).iter().sum::<u64>());
+        let p99 = was
+            .iter()
+            .zip(now)
+            .filter_map(|(w, n)| n.latency.delta_since(&w.latency).percentile(99.0))
+            .max();
+        assert_eq!(obs.p99, p99);
+        let shares: Vec<f64> = done.iter().map(|&d| d as f64).collect();
+        assert_eq!(obs.fairness, jain_fairness(&shares));
+    }
+
+    #[test]
+    fn since_is_the_change_in_each_tenants_stats() {
+        let mut svc = shared_pair();
+        let start = snapshot(&svc);
+        let empty = Observation::since(&start, &svc);
+        assert_eq!((empty.offered, empty.p99, empty.fairness), (0, None, 1.0));
+
+        let mut was = start;
+        let mut until = SimTime::ZERO;
+        let mut misses = 0;
+        for _ in 0..2 {
+            until += SimDuration::from_us(15);
+            svc.run_until(until);
+            let obs = Observation::since(&was, &svc);
+            let now = snapshot(&svc);
+            assert!(obs.offered > 0 && obs.completed > 0, "window saw no work: {obs:?}");
+            assert_window(&obs, &was, &now);
+            misses += obs.misses + obs.shed;
+            was = now;
+        }
+        assert!(misses > 0, "the deadline never bit, so misses went unchecked");
+
+        svc.run();
+        let drained = snapshot(&svc);
+        let after = Observation::since(&drained, &svc);
+        assert_eq!((after.offered, after.p99, after.fairness), (0, None, 1.0));
+    }
+
+    #[test]
+    fn a_moved_tenant_keeps_counting_after_a_transition() {
+        let mut svc = shared_pair();
+        svc.run_until(SimTime::ZERO + SimDuration::from_us(15));
+        let tr = svc.transition(Plan::dedicated(2).unwrap(), &TransitionCosts::default()).unwrap();
+        assert!(tr.moved > 0, "the dedicated plan must move a tenant off the shared WQ");
+        let was = snapshot(&svc);
+        svc.run();
+        let obs = Observation::since(&was, &svc);
+        assert_window(&obs, &was, &snapshot(&svc));
+        let moved = (0..2).find(|&i| svc.stats(i).migrations > 0).unwrap();
+        assert!(svc.stats(moved).completed() > was[moved].completed());
+        assert!(obs.p99.is_some());
     }
 }

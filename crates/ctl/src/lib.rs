@@ -3,9 +3,11 @@
 //! The service layer (`dsa-svc`) answers *how a chosen plan behaves*;
 //! this crate closes the loop on *which plan to run*. A [`Governor`]
 //! watches a live [`DsaService`](dsa_svc::service::DsaService) through
-//! windowed telemetry deltas, detects pressure against the service's
-//! typed [`SloTarget`](dsa_svc::slo::SloTarget), generates candidate
-//! reconfigurations over the first-class
+//! per-epoch deltas of each tenant's own
+//! [`TenantStats`](dsa_svc::tenant::TenantStats) (it reads no telemetry:
+//! this crate does not depend on `dsa-telemetry`), detects pressure
+//! against the service's typed [`SloTarget`](dsa_svc::slo::SloTarget),
+//! generates candidate reconfigurations over the first-class
 //! [`Plan`](dsa_svc::plan::Plan) API (re-carved groups/WQs, shifted
 //! read buffers, tenant promotions), scores each with a deterministic
 //! **digital twin** — a cheap forked replay of the remaining workload —

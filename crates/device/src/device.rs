@@ -160,26 +160,6 @@ pub struct BatchExecution {
     pub timeline: ExecTimeline,
 }
 
-/// One entry of the descriptor trace ring (debug/observability aid — the
-/// software equivalent of watching completion records fly by).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TraceEntry {
-    /// Monotone per-device sequence number.
-    pub seq: u64,
-    /// WQ the descriptor entered through.
-    pub wq: usize,
-    /// Operation.
-    pub opcode: Opcode,
-    /// Nominal transfer size.
-    pub xfer_size: u32,
-    /// Portal-accept time.
-    pub submitted: SimTime,
-    /// Completion-record visibility time.
-    pub completed: SimTime,
-    /// Final status.
-    pub status: Status,
-}
-
 /// PCM-style device telemetry (paper §5: "DSA performance telemetry ...
 /// provided by the PCM library").
 #[derive(Clone, Copy, Debug, Default)]
@@ -236,9 +216,6 @@ pub struct DsaDevice {
     atc: TranslationCache,
     telemetry: Telemetry,
     last_completion: SimTime,
-    trace: std::collections::VecDeque<TraceEntry>,
-    trace_capacity: usize,
-    trace_seq: u64,
     hub: Option<Hub>,
 }
 
@@ -318,9 +295,6 @@ impl DsaDevice {
             atc: TranslationCache::new(128, platform.iommu_walk),
             telemetry: Telemetry::default(),
             last_completion: SimTime::ZERO,
-            trace: std::collections::VecDeque::new(),
-            trace_capacity: 0,
-            trace_seq: 0,
             hub: None,
         })
     }
@@ -334,18 +308,6 @@ impl DsaDevice {
     /// The attached telemetry hub, if any.
     pub fn hub(&self) -> Option<&Hub> {
         self.hub.as_ref()
-    }
-
-    /// Keeps the last `capacity` processed descriptors in a trace ring
-    /// (0 disables tracing, the default).
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace_capacity = capacity;
-        self.trace.truncate(capacity);
-    }
-
-    /// The descriptor trace, oldest first.
-    pub fn trace(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.trace.iter()
     }
 
     /// Device instance id.
@@ -766,21 +728,6 @@ impl DsaDevice {
         // like hardware writing into a torn-down mapping.
         if desc.completion_addr != 0 && desc.flags.contains(Flags::REQUEST_COMPLETION) {
             let _ = memory.write(desc.completion_addr, &outcome.record.to_bytes());
-        }
-        if self.trace_capacity > 0 {
-            if self.trace.len() == self.trace_capacity {
-                self.trace.pop_front();
-            }
-            self.trace_seq += 1;
-            self.trace.push_back(TraceEntry {
-                seq: self.trace_seq,
-                wq: wq.0,
-                opcode: desc.opcode,
-                xfer_size: desc.xfer_size,
-                submitted,
-                completed,
-                status: outcome.record.status,
-            });
         }
         if let Some(hub) = &self.hub {
             let servers = self.groups[group_idx].engines.servers();
@@ -1719,115 +1666,6 @@ mod drain_tests {
         dev.submit(&mut memory, &mut memsys, WqId(0), &d, SimTime::ZERO).unwrap();
         let t2 = dev.telemetry();
         assert_eq!(t2.atc_hits, 2, "repeat touch hits");
-    }
-}
-
-#[cfg(test)]
-mod trace_tests {
-    use super::*;
-    use dsa_mem::buffer::PageSize;
-
-    #[test]
-    fn trace_ring_keeps_the_last_n() {
-        let platform = Platform::spr();
-        let mut memory = Memory::new();
-        let mut memsys = MemSystem::new(platform.clone());
-        let mut dev = DsaDevice::new(0, DeviceConfig::single_engine(), &platform);
-        dev.set_trace_capacity(4);
-        let src = memory.alloc(4096, Location::local_dram());
-        let dst = memory.alloc(4096, Location::local_dram());
-        memsys.page_table_mut().map_range(src.addr(), 4096, PageSize::Base4K);
-        memsys.page_table_mut().map_range(dst.addr(), 4096, PageSize::Base4K);
-        for i in 0..7u32 {
-            let d = Descriptor::memmove(src.addr(), dst.addr(), 64 * (i + 1));
-            dev.submit(&mut memory, &mut memsys, WqId(0), &d, SimTime::ZERO).unwrap();
-        }
-        let entries: Vec<&TraceEntry> = dev.trace().collect();
-        assert_eq!(entries.len(), 4, "ring holds only the capacity");
-        // Oldest-first, contiguous sequence ending at the last descriptor.
-        assert_eq!(entries.first().unwrap().seq, 4);
-        assert_eq!(entries.last().unwrap().seq, 7);
-        assert!(entries.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
-        assert!(entries.iter().all(|e| e.opcode == Opcode::Memmove));
-        assert!(entries.iter().all(|e| e.completed > e.submitted));
-        assert_eq!(entries.last().unwrap().xfer_size, 64 * 7);
-    }
-
-    #[test]
-    fn shrinking_capacity_truncates_then_rotates() {
-        let platform = Platform::spr();
-        let mut memory = Memory::new();
-        let mut memsys = MemSystem::new(platform.clone());
-        let mut dev = DsaDevice::new(0, DeviceConfig::single_engine(), &platform);
-        dev.set_trace_capacity(8);
-        let src = memory.alloc(4096, Location::local_dram());
-        let dst = memory.alloc(4096, Location::local_dram());
-        memsys.page_table_mut().map_range(src.addr(), 4096, PageSize::Base4K);
-        memsys.page_table_mut().map_range(dst.addr(), 4096, PageSize::Base4K);
-        for _ in 0..6 {
-            let d = Descriptor::memmove(src.addr(), dst.addr(), 256);
-            dev.submit(&mut memory, &mut memsys, WqId(0), &d, SimTime::ZERO).unwrap();
-        }
-        assert_eq!(dev.trace().count(), 6);
-
-        // Shrinking truncates the ring down to the new capacity at once.
-        dev.set_trace_capacity(2);
-        assert_eq!(dev.trace().count(), 2);
-
-        // Subsequent submissions rotate within the smaller capacity and
-        // the sequence numbering keeps advancing monotonically.
-        for _ in 0..3 {
-            let d = Descriptor::memmove(src.addr(), dst.addr(), 256);
-            dev.submit(&mut memory, &mut memsys, WqId(0), &d, SimTime::ZERO).unwrap();
-        }
-        let entries: Vec<&TraceEntry> = dev.trace().collect();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries.last().unwrap().seq, 9, "9 descriptors traced in total");
-        assert!(entries.windows(2).all(|w| w[0].seq < w[1].seq));
-
-        // Capacity zero empties the ring and disables tracing again.
-        dev.set_trace_capacity(0);
-        assert_eq!(dev.trace().count(), 0);
-    }
-
-    #[test]
-    fn trace_iterates_oldest_to_newest() {
-        let platform = Platform::spr();
-        let mut memory = Memory::new();
-        let mut memsys = MemSystem::new(platform.clone());
-        let mut dev = DsaDevice::new(0, DeviceConfig::single_engine(), &platform);
-        dev.set_trace_capacity(16);
-        let src = memory.alloc(4096, Location::local_dram());
-        let dst = memory.alloc(4096, Location::local_dram());
-        memsys.page_table_mut().map_range(src.addr(), 4096, PageSize::Base4K);
-        memsys.page_table_mut().map_range(dst.addr(), 4096, PageSize::Base4K);
-        let mut at = SimTime::ZERO;
-        for _ in 0..5 {
-            let d = Descriptor::memmove(src.addr(), dst.addr(), 1024);
-            let exec = dev.submit(&mut memory, &mut memsys, WqId(0), &d, at).unwrap();
-            at = exec.timeline.completed;
-        }
-        let entries: Vec<&TraceEntry> = dev.trace().collect();
-        assert_eq!(entries.len(), 5);
-        assert!(
-            entries.windows(2).all(|w| w[0].submitted <= w[1].submitted
-                && w[0].completed <= w[1].completed
-                && w[0].seq < w[1].seq),
-            "trace() yields entries oldest first"
-        );
-    }
-
-    #[test]
-    fn tracing_disabled_by_default() {
-        let platform = Platform::spr();
-        let mut memory = Memory::new();
-        let mut memsys = MemSystem::new(platform.clone());
-        let mut dev = DsaDevice::new(0, DeviceConfig::single_engine(), &platform);
-        let src = memory.alloc(64, Location::local_dram());
-        memsys.page_table_mut().map_range(src.addr(), 64, PageSize::Base4K);
-        let d = Descriptor::memmove(src.addr(), src.addr(), 64);
-        dev.submit(&mut memory, &mut memsys, WqId(0), &d, SimTime::ZERO).unwrap();
-        assert_eq!(dev.trace().count(), 0);
     }
 }
 

@@ -34,7 +34,7 @@ use dsa_ops::OpKind;
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::stats::jain_fairness;
 use dsa_sim::time::{SimDuration, SimTime};
-use dsa_telemetry::{Hub, Labels};
+use dsa_telemetry::Hub;
 use std::fmt;
 
 /// Exponential-backoff cap: base backoff never grows beyond 64×.
@@ -437,8 +437,9 @@ impl DsaService {
     }
 
     /// Attaches a fresh telemetry hub and returns a clone, mirroring
-    /// [`DsaRuntime::trace`]. Per-tenant series land under
-    /// `svc_*` metrics with [`Labels::tenant`] label sets.
+    /// [`DsaRuntime::trace`]. Job traces recorded while a tenant steps are
+    /// attributed to that tenant; per-tenant counts stay in
+    /// [`stats`](Self::stats).
     pub fn trace(&mut self) -> Hub {
         self.rt.trace()
     }
@@ -584,7 +585,6 @@ impl DsaService {
     fn advance(&mut self, i: usize) -> Result<JobOutcome, DsaError> {
         let rt = &mut self.rt;
         let t = &mut self.tenants[i];
-        let tid = i as u16;
 
         let arrival = t.next_arrival;
         let start = t.bucket.ready_at(t.window.admission_at(arrival.max(t.cursor)));
@@ -593,18 +593,12 @@ impl DsaService {
         t.issued += 1;
         t.stats.offered += 1;
         t.stats.offered_bytes += t.spec.xfer;
-        if let Some(hub) = rt.hub() {
-            hub.counter_add("svc_offered", Labels::tenant(tid), 1);
-        }
 
         // Shed at admission: if queueing delay alone blows the deadline,
         // reject before occupying a WQ slot or burning a token.
         if let Some(d) = t.spec.deadline {
             if start.duration_since(arrival) > d {
                 t.stats.shed += 1;
-                if let Some(hub) = rt.hub() {
-                    hub.counter_add("svc_shed", Labels::tenant(tid), 1);
-                }
                 t.schedule_next(start);
                 return Err(DsaError::DeadlineExceeded { deadline: arrival + d });
             }
@@ -615,7 +609,7 @@ impl DsaService {
         // Tenant context for causal tracing: job traces recorded below the
         // service layer get attributed to this tenant's profile cell.
         if let Some(hub) = rt.hub() {
-            hub.set_tenant(Some(tid));
+            hub.set_tenant(Some(i as u16));
         }
         let mut attempts: u32 = 0;
         let submitted = loop {
@@ -659,13 +653,6 @@ impl DsaService {
                 if completion > rt.now() {
                     t.window.push(completion, t.spec.xfer);
                 }
-                if let Some(hub) = rt.hub() {
-                    hub.counter_add("svc_jobs", Labels::tenant(tid), 1);
-                    hub.observe("svc_latency", Labels::tenant_wq(tid, 0, t.wq as u16), latency);
-                    if t.spec.deadline.is_some_and(|d| latency > d) {
-                        hub.counter_add("svc_deadline_miss", Labels::tenant(tid), 1);
-                    }
-                }
                 t.schedule_next(completion);
                 Ok(JobOutcome::Dsa { completion, latency })
             }
@@ -679,13 +666,6 @@ impl DsaService {
                 t.stats.cpu_completed += 1;
                 t.stats.cpu_bytes += t.spec.xfer;
                 t.cursor = completion;
-                if let Some(hub) = rt.hub() {
-                    hub.counter_add("svc_degraded", Labels::tenant(tid), 1);
-                    hub.observe("svc_latency", Labels::tenant_wq(tid, 0, t.wq as u16), latency);
-                    if t.spec.deadline.is_some_and(|d| latency > d) {
-                        hub.counter_add("svc_deadline_miss", Labels::tenant(tid), 1);
-                    }
-                }
                 t.schedule_next(completion);
                 Ok(JobOutcome::Cpu { completion, latency })
             }
@@ -695,9 +675,6 @@ impl DsaService {
                 }
                 t.stats.failed += 1;
                 t.cursor = rt.now();
-                if let Some(hub) = rt.hub() {
-                    hub.counter_add("svc_failed", Labels::tenant(tid), 1);
-                }
                 t.schedule_next(rt.now());
                 Err(e)
             }

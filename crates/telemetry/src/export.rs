@@ -241,20 +241,13 @@ fn label_cell(v: Option<u16>) -> String {
 pub fn metrics_csv(hub: &Hub) -> String {
     hub.with_metrics(|metrics| {
         let mut out =
-            String::from("name,device,wq,pe,tenant,kind,count,value,min,mean,p50,p90,p99,p999,max\n");
+            String::from("name,device,wq,pe,kind,count,value,min,mean,p50,p90,p99,p999,max\n");
         for (name, labels, metric) in metrics.iter() {
-            let (d, w, p, t) = (
-                label_cell(labels.device),
-                label_cell(labels.wq),
-                label_cell(labels.pe),
-                label_cell(labels.tenant),
-            );
+            let (d, w, p) =
+                (label_cell(labels.device), label_cell(labels.wq), label_cell(labels.pe));
             match metric {
                 Metric::Counter(c) => {
-                    let _ = writeln!(out, "{name},{d},{w},{p},{t},counter,,{c},,,,,,,");
-                }
-                Metric::Gauge(g) => {
-                    let _ = writeln!(out, "{name},{d},{w},{p},{t},gauge,,{g},,,,,,,");
+                    let _ = writeln!(out, "{name},{d},{w},{p},counter,,{c},,,,,,,");
                 }
                 Metric::Histogram(h) => {
                     if h.count() == 0 {
@@ -264,7 +257,7 @@ pub fn metrics_csv(hub: &Hub) -> String {
                     let pct = |p: f64| h.percentile(p).unwrap_or_default().as_ns_f64();
                     let _ = writeln!(
                         out,
-                        "{name},{d},{w},{p},{t},histogram,{},,{:.0},{:.0},{:.0},{:.0},{:.0},{:.0},{:.0}",
+                        "{name},{d},{w},{p},histogram,{},,{:.0},{:.0},{:.0},{:.0},{:.0},{:.0},{:.0}",
                         h.count(),
                         h.min().as_ns_f64(),
                         h.mean().as_ns_f64(),
@@ -281,7 +274,7 @@ pub fn metrics_csv(hub: &Hub) -> String {
                     }
                     let _ = writeln!(
                         out,
-                        "{name},{d},{w},{p},{t},series,{},{:.3},,{:.3},,,,,{:.3}",
+                        "{name},{d},{w},{p},series,{},{:.3},,{:.3},,,,,{:.3}",
                         s.len(),
                         s.mean_value(),
                         s.mean_value(),
@@ -548,13 +541,13 @@ mod tests {
         let mut lines = csv.lines();
         assert_eq!(
             lines.next().unwrap(),
-            "name,device,wq,pe,tenant,kind,count,value,min,mean,p50,p90,p99,p999,max"
+            "name,device,wq,pe,kind,count,value,min,mean,p50,p90,p99,p999,max"
         );
-        assert!(csv.contains("descriptors,0,2,,,counter,,1,"));
-        assert!(csv.lines().any(|l| l.starts_with("descriptor_latency,0,2,,,histogram,1,")));
+        assert!(csv.contains("descriptors,0,2,,counter,,1,"));
+        assert!(csv.lines().any(|l| l.starts_with("descriptor_latency,0,2,,histogram,1,")));
         // Every data row has the full column count.
         for line in csv.lines().skip(1) {
-            assert_eq!(line.split(',').count(), 15, "bad row: {line}");
+            assert_eq!(line.split(',').count(), 14, "bad row: {line}");
         }
     }
 

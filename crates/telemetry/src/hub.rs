@@ -66,11 +66,6 @@ impl Hub {
         self.inner.borrow_mut().metrics.counter_add(name, labels, n);
     }
 
-    /// Sets a gauge.
-    pub fn gauge_set(&self, name: &'static str, labels: Labels, v: f64) {
-        self.inner.borrow_mut().metrics.gauge_set(name, labels, v);
-    }
-
     /// Records a histogram sample.
     pub fn observe(&self, name: &'static str, labels: Labels, d: SimDuration) {
         self.inner.borrow_mut().metrics.observe(name, labels, d);
@@ -135,11 +130,6 @@ impl Hub {
         self.inner.borrow_mut().tenant = tenant;
     }
 
-    /// The current tenant context.
-    pub fn tenant(&self) -> Option<u16> {
-        self.inner.borrow().tenant
-    }
-
     /// Records one job's attributed critical path. A trace without a
     /// tenant inherits the current tenant context.
     pub fn record_job_trace(&self, trace: JobTrace) {
@@ -167,16 +157,6 @@ impl Hub {
             profile.record(trace);
         }
         profile
-    }
-
-    /// Drops all recorded events, traces, and metrics.
-    pub fn reset(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.events.clear();
-        inner.metrics = Metrics::new();
-        inner.traces.clear();
-        inner.tenant = None;
-        inner.next_trace_id = 0;
     }
 }
 
@@ -226,20 +206,6 @@ mod tests {
                 assert_eq!(m.histogram(p.metric(), Labels::wq(0, 0)).unwrap().count(), 10);
             }
         });
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let hub = Hub::new();
-        hub.record_descriptor(sample_descriptor(1, 0));
-        hub.record_job_trace(sample_trace(&hub));
-        hub.set_tenant(Some(3));
-        hub.reset();
-        assert_eq!(hub.event_count(), 0);
-        assert_eq!(hub.trace_count(), 0);
-        assert_eq!(hub.tenant(), None);
-        assert_eq!(hub.counter("descriptors", Labels::wq(0, 0)), 0);
-        assert_eq!(hub.next_trace_id(), 1, "trace ids restart after reset");
     }
 
     fn sample_trace(hub: &Hub) -> crate::causal::JobTrace {

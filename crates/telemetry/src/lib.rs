@@ -12,15 +12,12 @@
 //! * [`span`] — per-descriptor lifecycle spans (submit → WQ wait →
 //!   address translate → read → write → completion record) plus generic
 //!   named spans for jobs and workload stages.
-//! * [`metrics`] — counters, gauges, and log-linear histograms
+//! * [`metrics`] — counters and log-linear histograms
 //!   (p50/p90/p99/p999) keyed by device/WQ/PE labels, plus utilization
 //!   time series (WQ depth, PE occupancy).
 //! * [`causal`] — critical-path attribution: per-job critical paths
 //!   attributed to typed segments, and per-tenant/WQ [`CritPathProfile`]
 //!   breakdowns.
-//! * [`window`] — delta views over the hub ([`HubWindow`]): per-epoch
-//!   counter growth and histogram windows, the observation primitive the
-//!   `dsa-ctl` control loop reads instead of cumulative totals.
 //! * [`export`] — Chrome trace-event JSON loadable in Perfetto /
 //!   `chrome://tracing` (with causal flow arrows), flamegraph-style
 //!   folded stacks, a machine-readable metrics CSV, and a PCM-style
@@ -31,11 +28,9 @@ pub mod export;
 pub mod hub;
 pub mod metrics;
 pub mod span;
-pub mod window;
 
 pub use causal::{Breakdown, CritPathProfile, JobTrace, SegmentKind, SegmentStat};
 pub use export::{chrome_trace_json, folded_stacks, metrics_csv, pcm_dashboard};
 pub use hub::Hub;
 pub use metrics::{Labels, Metric, Metrics};
 pub use span::{DescriptorSpan, Event, Phase, Span, Track};
-pub use window::HubWindow;

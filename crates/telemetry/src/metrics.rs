@@ -1,11 +1,11 @@
-//! A labelled metrics registry: counters, gauges, log-linear latency
-//! histograms, and utilization time series, keyed by device/WQ/PE.
+//! A labelled metrics registry: counters, log-linear latency histograms,
+//! and utilization time series, keyed by device/WQ/PE.
 
 use dsa_sim::stats::{DurationHistogram, TimeSeries};
 use dsa_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Metric labels: which device/WQ/PE/tenant a sample belongs to. `None`
+/// Metric labels: which device/WQ/PE a sample belongs to. `None`
 /// means the dimension does not apply (e.g. a job-level counter).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Labels {
@@ -15,8 +15,6 @@ pub struct Labels {
     pub wq: Option<u16>,
     /// Processing-engine index within the device.
     pub pe: Option<u16>,
-    /// Service-layer tenant index (multi-tenant client streams).
-    pub tenant: Option<u16>,
 }
 
 impl Labels {
@@ -39,16 +37,6 @@ impl Labels {
     pub fn pe(device: u16, pe: u16) -> Labels {
         Labels { device: Some(device), pe: Some(pe), ..Labels::default() }
     }
-
-    /// Tenant-scoped (service-layer per-client metrics).
-    pub fn tenant(tenant: u16) -> Labels {
-        Labels { tenant: Some(tenant), ..Labels::default() }
-    }
-
-    /// Tenant + WQ scoped (which queue a tenant's stream landed on).
-    pub fn tenant_wq(tenant: u16, device: u16, wq: u16) -> Labels {
-        Labels { device: Some(device), wq: Some(wq), pe: None, tenant: Some(tenant) }
-    }
 }
 
 /// One registered metric.
@@ -56,8 +44,6 @@ impl Labels {
 pub enum Metric {
     /// Monotonically increasing count.
     Counter(u64),
-    /// Last-write-wins value.
-    Gauge(f64),
     /// Log-linear latency distribution (p50/p90/p99/p999).
     Histogram(DurationHistogram),
     /// Sampled utilization timeline (WQ depth, PE occupancy).
@@ -83,14 +69,6 @@ impl Metrics {
         match self.map.entry((name, labels)).or_insert(Metric::Counter(0)) {
             Metric::Counter(c) => *c += n,
             other => panic!("metric {name} is not a counter: {other:?}"),
-        }
-    }
-
-    /// Sets a gauge.
-    pub fn gauge_set(&mut self, name: &'static str, labels: Labels, v: f64) {
-        match self.map.entry((name, labels)).or_insert(Metric::Gauge(0.0)) {
-            Metric::Gauge(g) => *g = v,
-            other => panic!("metric {name} is not a gauge: {other:?}"),
         }
     }
 
@@ -122,14 +100,6 @@ impl Metrics {
         }
     }
 
-    /// Current gauge value.
-    pub fn gauge(&self, name: &'static str, labels: Labels) -> Option<f64> {
-        match self.map.get(&(name, labels)) {
-            Some(Metric::Gauge(g)) => Some(*g),
-            _ => None,
-        }
-    }
-
     /// A histogram, if one exists under this key.
     pub fn histogram(&self, name: &'static str, labels: Labels) -> Option<&DurationHistogram> {
         match self.map.get(&(name, labels)) {
@@ -149,20 +119,6 @@ impl Metrics {
     /// Histogram percentile shortcut (`p` in (0, 100]).
     pub fn percentile(&self, name: &'static str, labels: Labels, p: f64) -> Option<SimDuration> {
         self.histogram(name, labels).and_then(|h| h.percentile(p))
-    }
-
-    /// Merges every histogram under `name` (across all label sets) into
-    /// one distribution — e.g. device-wide latency from per-WQ buckets.
-    pub fn merged_histogram(&self, name: &'static str) -> DurationHistogram {
-        let mut out = DurationHistogram::new();
-        for ((n, _), m) in &self.map {
-            if *n == name {
-                if let Metric::Histogram(h) = m {
-                    out.merge(h);
-                }
-            }
-        }
-        out
     }
 
     /// Iterates all metrics in deterministic (name, labels) order.
@@ -213,31 +169,19 @@ mod tests {
     }
 
     #[test]
-    fn merged_histogram_spans_all_wqs() {
-        let mut m = Metrics::new();
-        m.observe("latency", Labels::wq(0, 0), SimDuration::from_ns(100));
-        m.observe("latency", Labels::wq(0, 1), SimDuration::from_ns(10_000));
-        let all = m.merged_histogram("latency");
-        assert_eq!(all.count(), 2);
-        assert!(all.max() >= SimDuration::from_ns(10_000));
-    }
-
-    #[test]
-    fn series_and_gauges_roundtrip() {
+    fn series_roundtrip() {
         let mut m = Metrics::new();
         m.series_push("wq_depth", Labels::wq(0, 0), SimTime::from_ns(10), 3.0);
         m.series_push("wq_depth", Labels::wq(0, 0), SimTime::from_ns(20), 7.0);
-        m.gauge_set("pe_util", Labels::pe(0, 2), 0.5);
         assert_eq!(m.series("wq_depth", Labels::wq(0, 0)).unwrap().len(), 2);
         assert_eq!(m.series("wq_depth", Labels::wq(0, 0)).unwrap().max_value(), 7.0);
-        assert_eq!(m.gauge("pe_util", Labels::pe(0, 2)), Some(0.5));
     }
 
     #[test]
     #[should_panic(expected = "not a counter")]
     fn kind_mismatch_is_caught() {
         let mut m = Metrics::new();
-        m.gauge_set("x", Labels::none(), 1.0);
+        m.observe("x", Labels::none(), SimDuration::from_ns(1));
         m.counter_add("x", Labels::none(), 1);
     }
 }

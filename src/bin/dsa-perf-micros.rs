@@ -88,7 +88,7 @@ OPTIONS:
     --trace <file>     write a Chrome trace-event JSON (Perfetto /
                        chrome://tracing) of descriptor lifecycle spans
     --metrics <file>   write the metrics registry as CSV (counters,
-                       gauges, histogram percentiles, time series)
+                       histogram percentiles, time series)
     --critpath         print the attributed critical-path latency table
                        (per-segment sums, shares, p50/p99/p999, dominant
                        bottleneck; segments sum exactly to end-to-end)

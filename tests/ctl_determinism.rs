@@ -43,35 +43,53 @@ fn governed(slo: bool, seed: u64) -> GovernedFleet {
     )
 }
 
+/// The pressured scenarios the replay proof runs: seed, pinned merged
+/// control digest, and whether some shard re-plans its live device.
+/// Seed 0x0C71_5EED decides without ever transitioning; seed 2
+/// transitions, so windows read after a plan change (migrated tenants
+/// included) are covered too.
+const PRESSURED: [(u64, u64, bool); 2] =
+    [(0x0C71_5EED, 0x4232_9915_c6b7_d1cf, false), (2, 0xac00_450d_3c8c_f662, true)];
+
 /// Sequential vs K ∈ {1, 2, 8} worker threads, twice each: every run of
 /// the closed loop replays to the same merged control digest and the
 /// same fleet-wide decision/transition counts — and decisions actually
 /// happen, so the proof covers the loop acting, not idling.
 #[test]
 fn governed_fleet_replays_bit_identically_across_thread_counts() {
-    let g = governed(true, 0x0C71_5EED);
-    let seq = g.run_sequential().expect("sequential governed run");
-    assert!(seq.fleet.offered() > 0, "the proof needs a non-trivial run");
-    assert!(
-        seq.decisions > 0,
-        "no shard governor ever evaluated a re-plan — the churn scenario is not \
-         pressuring the SLO and the determinism proof is vacuous"
-    );
-    for k in [1usize, 2, 8] {
-        for round in 0..2 {
-            let par = g.run_parallel(k).expect("parallel governed run");
-            assert_eq!(
-                par.fleet.digest, seq.fleet.digest,
-                "{k} thread(s), round {round}: control digest diverged from sequential"
-            );
-            assert_eq!(par.decisions, seq.decisions, "{k}/{round}: decision count drifted");
-            assert_eq!(par.transitions, seq.transitions, "{k}/{round}: transitions drifted");
-            assert_eq!(par.fleet.offered(), seq.fleet.offered(), "{k}/{round}: offered drifted");
-            assert_eq!(
-                par.fleet.completed(),
-                seq.fleet.completed(),
-                "{k}/{round}: completed drifted"
-            );
+    for (seed, digest, transitions) in PRESSURED {
+        let g = governed(true, seed);
+        let seq = g.run_sequential().expect("sequential governed run");
+        assert!(seq.fleet.offered() > 0, "the proof needs a non-trivial run");
+        assert!(
+            seq.decisions > 0,
+            "seed {seed:#x}: no shard governor ever evaluated a re-plan — the churn \
+             scenario is not pressuring the SLO and the determinism proof is vacuous"
+        );
+        assert_eq!(seq.fleet.digest, digest, "seed {seed:#x}: control digest drifted");
+        if transitions {
+            assert!(seq.transitions > 0, "seed {seed:#x} must re-plan the live device");
+        }
+        for k in [1usize, 2, 8] {
+            for round in 0..2 {
+                let par = g.run_parallel(k).expect("parallel governed run");
+                assert_eq!(
+                    par.fleet.digest, seq.fleet.digest,
+                    "{k} thread(s), round {round}: control digest diverged from sequential"
+                );
+                assert_eq!(par.decisions, seq.decisions, "{k}/{round}: decision count drifted");
+                assert_eq!(par.transitions, seq.transitions, "{k}/{round}: transitions drifted");
+                assert_eq!(
+                    par.fleet.offered(),
+                    seq.fleet.offered(),
+                    "{k}/{round}: offered drifted"
+                );
+                assert_eq!(
+                    par.fleet.completed(),
+                    seq.fleet.completed(),
+                    "{k}/{round}: completed drifted"
+                );
+            }
         }
     }
 }
