@@ -137,18 +137,6 @@ impl AccelConfig {
         self
     }
 
-    /// Index the next [`group`](Self::group) call will get — for wiring
-    /// explicit [`dedicated_wq_in`](Self::dedicated_wq_in) topologies.
-    pub fn next_group(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Index the next `*_wq` call will get — callers that later address
-    /// WQs by index (e.g. `Job::on_wq`) can record it while building.
-    pub fn next_wq(&self) -> usize {
-        self.wqs.len()
-    }
-
     /// Validates and produces the device configuration ("enabling" the
     /// device in `accel-config` terms).
     ///

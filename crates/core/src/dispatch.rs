@@ -1,29 +1,31 @@
-//! The policy dispatcher: guidelines G1–G3 as *live* routing policy.
+//! The policy dispatcher: guidelines G2 and G3 as *live* routing policy.
 //!
-//! A [`Dispatcher`] fronts a [`CpuBackend`] and a [`DsaBackend`] and decides
-//! per call where each operation runs:
+//! A [`Dispatcher`] decides per call whether an operation runs on the
+//! calling core ([`DsaRuntime::cpu_op`]) or on its [`DsaBackend`] device
+//! pool, synchronously or asynchronously:
 //!
 //! * **G2** — the sync break-even (≈ 4 KB) and async break-even (≈ 256 B)
-//!   emerge from comparing the backends' [`estimate`](OffloadBackend::estimate)s
-//!   rather than from a hard-coded size table;
-//! * **G1** — [`copy_burst`](Dispatcher::copy_burst) assembles scattered
-//!   transfers into batch descriptors instead of submitting one descriptor
-//!   per element;
+//!   emerge from comparing the runtime's software cost model with the
+//!   pool's [`estimate`](DsaBackend::estimate) rather than from a
+//!   hard-coded size table;
 //! * **G3** — the [`consumed_soon`](Dispatcher::consumed_soon) hint steers
 //!   offloaded writes into the LLC via `CACHE_CONTROL`.
+//!
+//! Both sides run the same [`Job`]: the device executes its descriptor,
+//! the core runs the descriptor's operation with the device's byte
+//! semantics, so a call returns the same result wherever it lands.
 //!
 //! Every decision is mirrored into local [`DispatchStats`] and, when the
 //! runtime carries a telemetry [`Hub`](dsa_telemetry::Hub), into labelled
 //! counters (`dispatch_cpu`, `dispatch_dsa_sync`, `dispatch_dsa_async`,
-//! `dispatch_g1_batches`, `dispatch_cache_control`, `dispatch_fault_fallbacks`).
+//! `dispatch_cache_control`, `dispatch_fault_fallbacks`).
 
-use crate::backend::{CpuBackend, DsaBackend, Engine, OffloadBackend, OffloadRequest, Ticket};
+use crate::backend::DsaBackend;
 use crate::error::DsaError;
-use crate::guidelines;
-use crate::job::{Batch, Job};
+use crate::job::Job;
 use crate::runtime::DsaRuntime;
 use crate::submit::InflightWindow;
-use dsa_device::descriptor::Status;
+use dsa_device::descriptor::{CompletionRecord, Status};
 use dsa_mem::buffer::Location;
 use dsa_mem::memory::BufferHandle;
 use dsa_ops::OpKind;
@@ -68,8 +70,6 @@ pub struct DispatchStats {
     pub cpu_bytes: u64,
     /// Bytes moved by the device.
     pub offloaded_bytes: u64,
-    /// Batch descriptors assembled by burst submission (G1).
-    pub batch_descriptors: u64,
     /// Offloaded operations carrying `CACHE_CONTROL` (G3).
     pub cache_controlled: u64,
     /// Offloads that hit a page fault and were redone in software.
@@ -107,15 +107,16 @@ impl DispatchStats {
     }
 }
 
-/// Routes data-movement operations across backends per policy.
+/// Routes data-movement operations between the core and a DSA pool per
+/// policy.
 #[derive(Clone, Debug)]
 pub struct Dispatcher {
-    cpu: CpuBackend,
     dsa: DsaBackend,
     policy: DispatchPolicy,
     async_depth: usize,
     consumed_soon: bool,
-    inflight: InflightWindow<Ticket>,
+    /// Completion times of outstanding asynchronous offloads.
+    inflight: InflightWindow<()>,
     stats: DispatchStats,
 }
 
@@ -129,7 +130,6 @@ impl Dispatcher {
     /// An adaptive, synchronous-only dispatcher over device 0.
     pub fn new() -> Dispatcher {
         Dispatcher {
-            cpu: CpuBackend,
             dsa: DsaBackend::new(),
             policy: DispatchPolicy::Adaptive,
             async_depth: 0,
@@ -142,18 +142,6 @@ impl Dispatcher {
     /// An adaptive dispatcher pooling every device of `rt`.
     pub fn all_devices(rt: &DsaRuntime) -> Dispatcher {
         Dispatcher::new().with_backend(DsaBackend::all_devices(rt))
-    }
-
-    /// Builds a dispatcher matching `engine`: `Engine::Cpu` never offloads;
-    /// `Engine::Dsa` always offloads to the named device/WQ. The bridge for
-    /// workloads migrated off their private enums.
-    pub fn for_engine(engine: Engine) -> Dispatcher {
-        match engine {
-            Engine::Cpu => Dispatcher::new().with_policy(DispatchPolicy::CpuOnly),
-            Engine::Dsa { device, wq } => Dispatcher::new()
-                .with_policy(DispatchPolicy::DsaOnly)
-                .with_backend(DsaBackend::with_pool(vec![device]).on_wq(wq)),
-        }
     }
 
     /// Sets the routing policy.
@@ -199,7 +187,9 @@ impl Dispatcher {
     }
 
     /// Where the dispatcher would route `op` over `bytes` with the given
-    /// placements, right now.
+    /// placements, right now. Compares, pattern compares and CRCs never go
+    /// asynchronous: the caller reads their result, so they complete
+    /// before the call returns.
     pub fn decide(
         &self,
         rt: &DsaRuntime,
@@ -208,32 +198,28 @@ impl Dispatcher {
         src: Location,
         dst: Location,
     ) -> Decision {
+        let yields_result = matches!(op, OpKind::Compare | OpKind::ComparePattern | OpKind::Crc32);
+        let offload = if self.async_depth > 0 && !yields_result {
+            Decision::DsaAsync
+        } else {
+            Decision::DsaSync
+        };
         match self.policy {
             DispatchPolicy::CpuOnly => Decision::Cpu,
-            DispatchPolicy::DsaOnly => {
-                if self.async_depth > 0 {
-                    Decision::DsaAsync
-                } else {
-                    Decision::DsaSync
-                }
-            }
+            DispatchPolicy::DsaOnly => offload,
             DispatchPolicy::Threshold(t) => {
                 if bytes >= t {
-                    if self.async_depth > 0 {
-                        Decision::DsaAsync
-                    } else {
-                        Decision::DsaSync
-                    }
+                    offload
                 } else {
                     Decision::Cpu
                 }
             }
             DispatchPolicy::Adaptive => {
-                let cpu = self.cpu.estimate(rt, op, bytes, src, dst);
+                let cpu = rt.cpu_time(op, bytes, src, dst);
                 // Async: the core only pays the submission, so offload as
                 // soon as software costs more than preparing a descriptor
                 // (the ≈ 256 B break-even of Fig. 2b).
-                if self.async_depth > 0 && cpu > self.dsa.submit_cost(rt, dst) {
+                if offload == Decision::DsaAsync && cpu > self.dsa.submit_cost(rt, dst) {
                     return Decision::DsaAsync;
                 }
                 // Sync: offload when the full device round-trip beats the
@@ -277,45 +263,39 @@ impl Dispatcher {
         }
     }
 
-    /// Routes one request; returns its completion outcome (for async
-    /// decisions, the outcome of the submission).
-    fn execute(
-        &mut self,
-        rt: &mut DsaRuntime,
-        req: &OffloadRequest,
-    ) -> Result<(Status, u64), DsaError> {
-        let bytes = req.bytes();
-        let src = location_of(rt, &req.src);
-        let dst = location_of(rt, &req.dst);
-        let decision = self.decide(rt, req.op, bytes, src, dst);
+    /// Routes one job and returns its completion record (for an async
+    /// offload, the record the device will have written on completion).
+    fn execute(&mut self, rt: &mut DsaRuntime, job: Job) -> Result<CompletionRecord, DsaError> {
+        let desc = job.descriptor();
+        let (op, bytes) = (desc.opcode.op_kind(), u64::from(desc.xfer_size));
+        let (src, dst) = rt.placements(desc);
+        let decision = self.decide(rt, op, bytes, src, dst);
         self.note_decision(rt, decision, bytes);
-        let req = req.cache_control(self.consumed_soon);
-        match decision {
-            Decision::Cpu => {
-                let c = self.cpu.run(rt, &req)?;
-                Ok((c.status, c.result))
-            }
-            Decision::DsaSync => {
-                let c = self.dsa.run(rt, &req)?;
-                if matches!(c.status, Status::PageFault { .. }) {
-                    // Partial completion: software finishes the job
-                    // (the paper's recommended fault handling).
-                    self.stats.fault_fallbacks += 1;
-                    self.count(rt, "dispatch_fault_fallbacks", 1);
-                    let c = self.cpu.run(rt, &req)?;
-                    return Ok((c.status, c.result));
-                }
-                Ok((c.status, c.result))
-            }
-            Decision::DsaAsync => {
-                let ticket = {
-                    self.make_room(rt);
-                    self.dsa.submit(rt, &req)?
-                };
-                self.inflight.push(ticket.completion_time(), ticket);
-                Ok((Status::Success, 0))
-            }
+        if decision == Decision::Cpu {
+            return Ok(rt.cpu_op(&job).0);
         }
+        if decision == Decision::DsaAsync {
+            self.make_room(rt);
+        }
+        let device = self.dsa.select(rt, dst);
+        let mut offload = job.clone().on_device(device).on_wq(self.dsa.wq());
+        if self.consumed_soon {
+            offload = offload.cache_control();
+        }
+        if decision == Decision::DsaAsync {
+            let handle = offload.submit(rt)?;
+            self.inflight.push(handle.completion_time(), ());
+            return Ok(*handle.record());
+        }
+        let record = offload.execute(rt)?.record;
+        if matches!(record.status, Status::PageFault { .. }) {
+            // Partial completion: software finishes the job (the paper's
+            // recommended fault handling).
+            self.stats.fault_fallbacks += 1;
+            self.count(rt, "dispatch_fault_fallbacks", 1);
+            return Ok(rt.cpu_op(&job).0);
+        }
+        Ok(record)
     }
 
     /// Copies `src` to `dst`; returns elapsed core time.
@@ -330,7 +310,7 @@ impl Dispatcher {
         dst: &BufferHandle,
     ) -> Result<SimDuration, DsaError> {
         let start = rt.now();
-        self.execute(rt, &OffloadRequest::memcpy(src, dst))?;
+        self.execute(rt, Job::memcpy(src, dst))?;
         Ok(rt.now().duration_since(start))
     }
 
@@ -346,12 +326,13 @@ impl Dispatcher {
         byte: u8,
     ) -> Result<SimDuration, DsaError> {
         let start = rt.now();
-        self.execute(rt, &OffloadRequest::memset(dst, byte))?;
+        self.execute(rt, Job::fill(dst, u64::from_le_bytes([byte; 8])))?;
         Ok(rt.now().duration_since(start))
     }
 
     /// Compares two buffers; returns the first mismatch offset (if any)
-    /// and elapsed core time.
+    /// and elapsed core time. The compare has completed when this
+    /// returns, whatever the async depth.
     ///
     /// # Errors
     ///
@@ -363,82 +344,18 @@ impl Dispatcher {
         b: &BufferHandle,
     ) -> Result<(Option<u64>, SimDuration), DsaError> {
         let start = rt.now();
-        let (status, result) = self.execute(rt, &OffloadRequest::memcmp(a, b))?;
-        let diff = (status == Status::CompareMismatch).then_some(result);
+        let record = self.execute(rt, Job::compare(a, b))?;
+        let diff = (record.status == Status::CompareMismatch).then_some(record.result);
         Ok((diff, rt.now().duration_since(start)))
     }
 
-    /// G1: copies a burst of scattered `(src, dst)` pairs, assembling them
-    /// into batch descriptors (one descriptor per pair, batched up to the
-    /// device limit) instead of submitting each pair individually. Returns
-    /// elapsed core time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates submission failures ([`DsaError`]).
-    pub fn copy_burst(
-        &mut self,
-        rt: &mut DsaRuntime,
-        pairs: &[(BufferHandle, BufferHandle)],
-    ) -> Result<SimDuration, DsaError> {
-        let start = rt.now();
-        if pairs.is_empty() {
-            return Ok(SimDuration::ZERO);
-        }
-        if pairs.len() == 1 {
-            self.execute(rt, &OffloadRequest::memcpy(&pairs[0].0, &pairs[0].1))?;
-            return Ok(rt.now().duration_since(start));
-        }
-        let total: u64 = pairs.iter().map(|(s, d)| s.len().min(d.len())).sum();
-        let src = location_of(rt, &pairs[0].0);
-        let dst = location_of(rt, &pairs[0].1);
-        // The advisor confirms scattered data should not be coalesced; its
-        // batch-size guidance is informational here because the descriptor
-        // boundaries are fixed by the caller's scatter list.
-        let (_ts, _bs) = guidelines::g1_split(total, false);
-        let decision = self.decide(rt, OpKind::Memcpy, total, src, dst);
-        self.note_decision(rt, decision, total);
-        match decision {
-            Decision::Cpu => {
-                for (s, d) in pairs {
-                    self.cpu.run(rt, &OffloadRequest::memcpy(s, d))?;
-                }
-            }
-            Decision::DsaSync | Decision::DsaAsync => {
-                let max_batch = 1024usize;
-                let device = self.dsa.select(rt, dst);
-                for chunk in pairs.chunks(max_batch) {
-                    let mut batch = Batch::new().on_device(device).on_wq(self.dsa.wq());
-                    if self.consumed_soon {
-                        batch = batch.cache_control();
-                    }
-                    for (s, d) in chunk {
-                        batch.push(Job::memcpy(s, d));
-                    }
-                    self.stats.batch_descriptors += 1;
-                    self.count(rt, "dispatch_g1_batches", 1);
-                    let handle = batch.submit(rt)?;
-                    if decision == Decision::DsaSync {
-                        rt.advance_to(handle.completion_time());
-                    } else {
-                        self.make_room(rt);
-                        let ticket = ticket_at(handle.completion_time(), total);
-                        self.inflight.push(ticket.completion_time(), ticket);
-                    }
-                }
-            }
-        }
-        Ok(rt.now().duration_since(start))
-    }
-
-    /// Reaps completed operations and, when the window is at depth, blocks
-    /// on the oldest outstanding ticket — shared between the async submit
-    /// path and burst submission so both obey the configured depth.
+    /// Reaps completed offloads and, when the window is at depth, blocks
+    /// on the oldest outstanding one.
     fn make_room(&mut self, rt: &mut DsaRuntime) {
         while self.inflight.pop_completed(rt.now()).is_some() {}
         if self.inflight.is_full() {
-            if let Some((_, oldest)) = self.inflight.pop_oldest() {
-                self.dsa.wait(rt, oldest);
+            if let Some((t, ())) = self.inflight.pop_oldest() {
+                rt.advance_to(t);
             }
         }
     }
@@ -446,21 +363,11 @@ impl Dispatcher {
     /// Waits for every outstanding asynchronous operation; returns the
     /// drain completion time.
     pub fn drain(&mut self, rt: &mut DsaRuntime) -> SimTime {
-        while let Some((_, ticket)) = self.inflight.pop_oldest() {
-            self.dsa.wait(rt, ticket);
+        while let Some((t, ())) = self.inflight.pop_oldest() {
+            rt.advance_to(t);
         }
         rt.now()
     }
-}
-
-fn location_of(rt: &DsaRuntime, buf: &BufferHandle) -> Location {
-    rt.memory().location_of(buf.addr()).unwrap_or(Location::local_dram())
-}
-
-fn ticket_at(completion: SimTime, bytes: u64) -> Ticket {
-    // Tickets are plain (completion, bytes) records; reconstruct one for a
-    // batch handle so bursts share the same drain path.
-    Ticket::from_parts(completion, bytes)
 }
 
 #[cfg(test)]
@@ -514,19 +421,20 @@ mod tests {
     }
 
     #[test]
-    fn burst_assembles_batches() {
-        let mut rt = DsaRuntime::spr_default();
-        let pairs: Vec<_> = (0..16)
-            .map(|_| {
-                (
-                    rt.alloc(4 << 10, Location::local_dram()),
-                    rt.alloc(4 << 10, Location::local_dram()),
-                )
-            })
-            .collect();
-        let mut d = Dispatcher::new().with_policy(DispatchPolicy::DsaOnly);
-        d.copy_burst(&mut rt, &pairs).unwrap();
-        assert_eq!(d.stats().batch_descriptors, 1, "16 pairs fit one batch descriptor");
+    fn memcmp_reports_a_difference_under_an_async_depth() {
+        for mut d in [
+            Dispatcher::new().with_policy(DispatchPolicy::DsaOnly).with_async_depth(8),
+            Dispatcher::new().with_async_depth(32),
+        ] {
+            let mut rt = DsaRuntime::spr_default();
+            let a = rt.alloc(64 << 10, Location::local_dram());
+            let b = rt.alloc(64 << 10, Location::local_dram());
+            rt.fill_pattern(&a, 0x01);
+            rt.fill_pattern(&b, 0x02);
+            let (diff, _) = d.memcmp(&mut rt, &a, &b).unwrap();
+            assert_eq!(diff, Some(0), "{:?}", d.policy());
+            assert_eq!(d.stats().async_offloads, 0, "a compare completes before memcmp returns");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * [`AsyncQueue`] — depth-bounded streaming over `Job`, built on
 //!   [`InflightWindow`](crate::submit::InflightWindow).
 //! * [`Dispatcher`](crate::dispatch::Dispatcher) — **placement policy**
-//!   (CPU vs DSA, sync vs async, batching) over the same mechanism.
+//!   (CPU vs DSA, sync vs async) over the same mechanism.
 //! * `DsaService` (the `dsa-svc` crate) — **multi-tenant policy**
 //!   (admission control, priorities, deadlines) over `try_submit`.
 //!

@@ -9,8 +9,8 @@
 //! | DML (Data Mover Library) | [`job::Job`], [`job::Batch`], [`job::AsyncQueue`] |
 //! | `MOVDIR64B`/`ENQCMD`/`UMWAIT` | [`submit`] — submission & wait models |
 //! | Guidelines G1–G6    | [`guidelines`] — executable advisors            |
-//! | Offload runtimes (DML backends) | [`backend`] — CPU/DSA behind one trait |
-//! | G1–G3 as live policy | [`dispatch::Dispatcher`] — per-call backend routing |
+//! | DML hardware/software paths | [`backend::DsaBackend`] — the device pool; [`runtime::DsaRuntime::cpu_op`] — the same op on the core |
+//! | G2/G3 as live policy | [`dispatch::Dispatcher`] — per-call CPU/DSA routing |
 //! | DTO (transparent offload) | [`dispatch::DispatchPolicy::Threshold`] — threshold-routed `mem*` calls |
 //! | Pre-allocated descriptors (Fig. 5) | [`job::Job::count_alloc`] — off by default, so no allocation cost is charged |
 //! | Replay verification  | [`digest::Fnv1a`] / [`digest::Digestible`] — the one FNV-1a digest primitive |
@@ -52,9 +52,7 @@ pub mod submit;
 
 /// The types most programs need.
 pub mod prelude {
-    pub use crate::backend::{
-        CpuBackend, DsaBackend, Engine, OffloadBackend, OffloadRequest, PoolPolicy,
-    };
+    pub use crate::backend::{DsaBackend, Engine, PoolPolicy};
     pub use crate::config::AccelConfig;
     pub use crate::digest::{Digestible, Fnv1a};
     pub use crate::dispatch::{Decision, DispatchPolicy, DispatchStats, Dispatcher};

@@ -3,11 +3,13 @@
 //! [`DsaRuntime`] bundles everything one experiment needs: the platform
 //! description, the byte store ([`Memory`]), the timing model
 //! ([`MemSystem`]), one or more DSA instances, the software-baseline cost
-//! model, and a global clock. The [`Job`](crate::job::Job) API drives it
+//! model, and a global clock. The [`Job`] API drives it
 //! the way DML drives real hardware.
 
+use crate::job::Job;
 use dsa_device::config::DeviceConfig;
-use dsa_device::device::DsaDevice;
+use dsa_device::descriptor::{CompletionRecord, Descriptor, Status};
+use dsa_device::device::{run_op, DsaDevice};
 use dsa_mem::buffer::{Location, PageSize};
 use dsa_mem::memory::{BufferHandle, MemError, Memory};
 use dsa_mem::memsys::MemSystem;
@@ -293,36 +295,35 @@ impl DsaRuntime {
         self.memory.read(buf.addr(), buf.len())
     }
 
-    /// Runs the *software* implementation of `kind` on the CPU: performs
-    /// the work functionally and advances the clock by the calibrated
-    /// software cost. Returns the elapsed software time.
-    ///
-    /// # Errors
-    ///
-    /// The [`MemError`] of a copy or fill whose range is invalid (or, on a
-    /// timing-only runtime, of a fill). Nothing is written and the clock
-    /// does not move.
-    pub fn cpu_op(
-        &mut self,
-        kind: OpKind,
-        src: &BufferHandle,
-        dst: &BufferHandle,
-    ) -> Result<SimDuration, MemError> {
-        let bytes = src.len().max(dst.len());
-        let src_loc = self.memory.location_of(src.addr()).unwrap_or(Location::local_dram());
-        let dst_loc = self.memory.location_of(dst.addr()).unwrap_or(Location::local_dram());
-        let t = self.swcost.op_time(kind, bytes, src_loc, dst_loc);
-        match kind {
-            OpKind::Memcpy => {
-                self.memory.copy(src.addr(), dst.addr(), src.len().min(dst.len()))?;
-            }
-            OpKind::Fill | OpKind::NtFill => {
-                dsa_ops::memops::fill(self.memory.read_mut(dst.addr(), dst.len())?, 0);
-            }
-            _ => {}
+    /// The placements the cost models price `desc` at: the allocations
+    /// holding its source and destination. An operand the descriptor does
+    /// not use (address 0) takes the other operand's placement; an
+    /// unmapped one defaults to local DRAM.
+    pub(crate) fn placements(&self, desc: &Descriptor) -> (Location, Location) {
+        let loc = |addr| self.memory.location_of(addr).unwrap_or(Location::local_dram());
+        let src = if desc.src == 0 { desc.dst } else { desc.src };
+        let dst = if desc.dst == 0 { desc.src } else { desc.dst };
+        (loc(src), loc(dst))
+    }
+
+    /// Runs `job` in software on the calling core: performs its operation
+    /// with the device's byte semantics ([`run_op`]) and advances the
+    /// clock by the calibrated software time for the descriptor's
+    /// operation and transfer size. Returns the completion record and the
+    /// elapsed time. A record of `InvalidDescriptor` (an operand range the
+    /// core cannot access, or bytes a
+    /// [`timing_only`](RuntimeBuilder::timing_only) runtime does not hold)
+    /// charges no time.
+    pub fn cpu_op(&mut self, job: &Job) -> (CompletionRecord, SimDuration) {
+        let desc = job.descriptor();
+        let record = run_op(&mut self.memory, &mut self.memsys, desc);
+        if record.status == Status::InvalidDescriptor {
+            return (record, SimDuration::ZERO);
         }
+        let (src, dst) = self.placements(desc);
+        let t = self.swcost.op_time(desc.opcode.op_kind(), u64::from(desc.xfer_size), src, dst);
         self.now += t;
-        Ok(t)
+        (record, t)
     }
 
     /// The calibrated software time for `kind` over `bytes` with explicit
@@ -399,10 +400,21 @@ mod tests {
         let a = rt.alloc(4096, Location::local_dram());
         let b = rt.alloc(4096, Location::local_dram());
         rt.fill_pattern(&a, 9);
-        let t = rt.cpu_op(OpKind::Memcpy, &a, &b).unwrap();
+        let (record, t) = rt.cpu_op(&Job::memcpy(&a, &b));
+        assert_eq!(record.status, Status::Success);
         assert!(t.as_ns_f64() > 100.0);
         assert_eq!(rt.now(), SimTime::ZERO + t);
         assert!(rt.read(&b).unwrap().iter().all(|&x| x == 9));
+    }
+
+    #[test]
+    fn cpu_op_charges_the_bytes_it_moves() {
+        let mut rt = DsaRuntime::spr_default();
+        let src = rt.alloc(4 << 10, Location::local_dram());
+        let dst = rt.alloc(64 << 10, Location::local_dram());
+        let (_, t) = rt.cpu_op(&Job::memcpy(&src, &dst));
+        let d = Location::local_dram();
+        assert_eq!(t, rt.cpu_time(OpKind::Memcpy, 4096, d, d));
     }
 
     #[test]
@@ -413,10 +425,16 @@ mod tests {
         rt.fill_pattern(&a, 9);
         rt.fill_random(&b);
         assert_eq!(rt.read(&a), Err(MemError::NoBytes { addr: a.addr() }));
-        let t = rt.cpu_op(OpKind::Memcpy, &a, &b).unwrap();
+        let (record, t) = rt.cpu_op(&Job::memcpy(&a, &b));
+        assert_eq!(record.status, Status::Success);
         assert_eq!(rt.now(), SimTime::ZERO + t);
-        assert_eq!(rt.cpu_op(OpKind::Fill, &a, &a), Err(MemError::NoBytes { addr: a.addr() }));
-        assert_eq!(rt.now(), SimTime::ZERO + t, "a failed op charges nothing");
+        let (record, t_fill) = rt.cpu_op(&Job::fill(&a, 0));
+        assert_eq!(record.status, Status::InvalidDescriptor);
+        assert_eq!(
+            (t_fill, rt.now()),
+            (SimDuration::ZERO, SimTime::ZERO + t),
+            "a failed op charges nothing"
+        );
     }
 
     #[test]

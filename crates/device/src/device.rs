@@ -112,26 +112,6 @@ pub struct ExecTimeline {
 }
 
 impl ExecTimeline {
-    /// Time spent queued in the WQ and arbiter.
-    pub fn queue_time(&self) -> SimDuration {
-        self.dispatched.saturating_duration_since(self.submitted)
-    }
-
-    /// Time the engine spent on data movement and the operation.
-    pub fn processing_time(&self) -> SimDuration {
-        self.data_done.saturating_duration_since(self.dispatched)
-    }
-
-    /// Time the engine spent translating addresses before data moved.
-    pub fn translate_time(&self) -> SimDuration {
-        self.translated.saturating_duration_since(self.dispatched)
-    }
-
-    /// Time spent streaming data (reads + writes, including any UPI hop).
-    pub fn stream_time(&self) -> SimDuration {
-        self.data_done.saturating_duration_since(self.translated)
-    }
-
     /// Total device-side latency.
     pub fn total(&self) -> SimDuration {
         self.completed.saturating_duration_since(self.submitted)
@@ -421,17 +401,6 @@ impl DsaDevice {
         self.check_wq(wq)?;
         let occupancy = SimDuration::from_ns(40);
         Ok(self.wqs[wq.0].enqcmd_port.reserve(issue, occupancy).end)
-    }
-
-    /// Probes whether WQ `wq` could accept a descriptor at `now`
-    /// (the ENQCMD retry bit).
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::UnknownWq`] if `wq` is out of range.
-    pub fn wq_available_at(&self, wq: WqId, now: SimTime) -> Result<SimTime, SubmitError> {
-        let state = self.wqs.get(wq.0).ok_or(SubmitError::UnknownWq { wq: wq.0 })?;
-        Ok(state.window.available_at(now))
     }
 
     /// Submits one work descriptor to `wq` at `now` and processes it to
@@ -849,191 +818,191 @@ impl DsaDevice {
             }
         }
 
-        let record = self.run_op(memory, memsys, desc);
+        let record = run_op(memory, memsys, desc);
         let bytes_valid = record.bytes_completed;
         FunctionalOutcome { record, bytes_valid, faults }
     }
+}
 
-    fn run_op(
-        &mut self,
-        memory: &mut Memory,
-        memsys: &mut MemSystem,
-        desc: &Descriptor,
-    ) -> CompletionRecord {
-        let len = desc.xfer_size as u64;
-        let invalid =
-            CompletionRecord { status: Status::InvalidDescriptor, bytes_completed: 0, result: 0 };
-        match desc.opcode {
-            Opcode::Nop | Opcode::Drain => CompletionRecord::success(0),
-            Opcode::Batch => invalid,
-            Opcode::Memmove => match memory.copy(desc.src, desc.dst, len) {
+/// Performs `desc`'s operation on the bytes in `memory` and returns the
+/// completion record — the one place an operation touches bytes. The
+/// device runs it after its fault scan; the CPU path
+/// (`DsaRuntime::cpu_op` in `dsa-core`) runs it directly, since a core
+/// faults pages in transparently. An operand range that is unmapped,
+/// crosses allocations or (in a timing-only memory) holds no bytes the
+/// operation must read or write yields `InvalidDescriptor`.
+pub fn run_op(memory: &mut Memory, memsys: &mut MemSystem, desc: &Descriptor) -> CompletionRecord {
+    let len = desc.xfer_size as u64;
+    let invalid =
+        CompletionRecord { status: Status::InvalidDescriptor, bytes_completed: 0, result: 0 };
+    match desc.opcode {
+        Opcode::Nop | Opcode::Drain => CompletionRecord::success(0),
+        Opcode::Batch => invalid,
+        Opcode::Memmove => match memory.copy(desc.src, desc.dst, len) {
+            Ok(()) => CompletionRecord::success(desc.xfer_size),
+            Err(_) => invalid,
+        },
+        Opcode::Fill => {
+            let OpParams::Pattern(p) = desc.params else { return invalid };
+            match memory.read_mut(desc.dst, len) {
+                Ok(buf) => {
+                    memops::fill(buf, p);
+                    CompletionRecord::success(desc.xfer_size)
+                }
+                Err(_) => invalid,
+            }
+        }
+        Opcode::Compare => {
+            let (Ok(a), Ok(b)) = (memory.read(desc.src, len), memory.read(desc.dst, len)) else {
+                return invalid;
+            };
+            match memops::compare(a, b) {
+                None => CompletionRecord::success(desc.xfer_size),
+                Some(off) => CompletionRecord {
+                    status: Status::CompareMismatch,
+                    bytes_completed: desc.xfer_size,
+                    result: off as u64,
+                },
+            }
+        }
+        Opcode::ComparePattern => {
+            let OpParams::Pattern(p) = desc.params else { return invalid };
+            let Ok(buf) = memory.read(desc.src, len) else { return invalid };
+            match memops::compare_pattern(buf, p) {
+                None => CompletionRecord::success(desc.xfer_size),
+                Some(off) => CompletionRecord {
+                    status: Status::CompareMismatch,
+                    bytes_completed: desc.xfer_size,
+                    result: off as u64,
+                },
+            }
+        }
+        Opcode::Dualcast => {
+            let OpParams::Dest2(d2) = desc.params else { return invalid };
+            if memory.copy(desc.src, desc.dst, len).is_err()
+                || memory.copy(desc.src, d2, len).is_err()
+            {
+                return invalid;
+            }
+            CompletionRecord::success(desc.xfer_size)
+        }
+        Opcode::CrcGen | Opcode::CopyCrc => {
+            let seed = match desc.params {
+                OpParams::CrcSeed(s) => s,
+                _ => 0,
+            };
+            let Ok(src) = memory.read(desc.src, len) else { return invalid };
+            let mut crc = if seed == 0 { Crc32c::new() } else { Crc32c::with_seed(seed) };
+            crc.update(src);
+            let value = crc.finish();
+            if desc.opcode == Opcode::CopyCrc && memory.copy(desc.src, desc.dst, len).is_err() {
+                return invalid;
+            }
+            CompletionRecord {
+                status: Status::Success,
+                bytes_completed: desc.xfer_size,
+                result: value as u64,
+            }
+        }
+        Opcode::CreateDelta => {
+            let OpParams::Delta { record_addr, max_size } = desc.params else {
+                return invalid;
+            };
+            let (Ok(a), Ok(b)) = (memory.read(desc.src, len), memory.read(desc.dst, len)) else {
+                return invalid;
+            };
+            match delta::delta_create(a, b, max_size as usize) {
+                Ok(rec) => {
+                    let size = rec.size_bytes();
+                    if memory.write(record_addr, rec.as_bytes()).is_err() {
+                        return invalid;
+                    }
+                    CompletionRecord {
+                        status: Status::Success,
+                        bytes_completed: desc.xfer_size,
+                        result: size as u64,
+                    }
+                }
+                Err(delta::DeltaError::RecordOverflow { needed, .. }) => CompletionRecord {
+                    status: Status::DeltaOverflow,
+                    bytes_completed: 0,
+                    result: needed as u64,
+                },
+                Err(_) => invalid,
+            }
+        }
+        Opcode::ApplyDelta => {
+            let OpParams::Delta { record_addr, max_size } = desc.params else {
+                return invalid;
+            };
+            let Ok(raw) = memory.read(record_addr, max_size as u64) else { return invalid };
+            let Ok(rec) = delta::DeltaRecord::from_bytes(raw) else { return invalid };
+            let rec = rec.clone();
+            let Ok(target) = memory.read_mut(desc.dst, len) else { return invalid };
+            match delta::delta_apply(&rec, target) {
                 Ok(()) => CompletionRecord::success(desc.xfer_size),
                 Err(_) => invalid,
-            },
-            Opcode::Fill => {
-                let OpParams::Pattern(p) = desc.params else { return invalid };
-                match memory.read_mut(desc.dst, len) {
-                    Ok(buf) => {
-                        memops::fill(buf, p);
+            }
+        }
+        Opcode::DifCheck | Opcode::DifInsert | Opcode::DifStrip | Opcode::DifUpdate => {
+            let OpParams::Dif(cfg) = &desc.params else { return invalid };
+            let Ok(src) = memory.read(desc.src, len) else { return invalid };
+            match desc.opcode {
+                Opcode::DifInsert => match dif::dif_insert(cfg, src) {
+                    Ok(out) => {
+                        if memory.write(desc.dst, &out).is_err() {
+                            return invalid;
+                        }
                         CompletionRecord::success(desc.xfer_size)
                     }
                     Err(_) => invalid,
-                }
-            }
-            Opcode::Compare => {
-                let (Ok(a), Ok(b)) = (memory.read(desc.src, len), memory.read(desc.dst, len))
-                else {
-                    return invalid;
-                };
-                match memops::compare(a, b) {
-                    None => CompletionRecord::success(desc.xfer_size),
-                    Some(off) => CompletionRecord {
-                        status: Status::CompareMismatch,
-                        bytes_completed: desc.xfer_size,
-                        result: off as u64,
+                },
+                Opcode::DifCheck => match dif::dif_check(cfg, src) {
+                    Ok(()) => CompletionRecord::success(desc.xfer_size),
+                    Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
+                        status: Status::DifError,
+                        bytes_completed: (e.block * (cfg.block.bytes() + 8)) as u32,
+                        result: e.block as u64,
                     },
-                }
-            }
-            Opcode::ComparePattern => {
-                let OpParams::Pattern(p) = desc.params else { return invalid };
-                let Ok(buf) = memory.read(desc.src, len) else { return invalid };
-                match memops::compare_pattern(buf, p) {
-                    None => CompletionRecord::success(desc.xfer_size),
-                    Some(off) => CompletionRecord {
-                        status: Status::CompareMismatch,
-                        bytes_completed: desc.xfer_size,
-                        result: off as u64,
-                    },
-                }
-            }
-            Opcode::Dualcast => {
-                let OpParams::Dest2(d2) = desc.params else { return invalid };
-                if memory.copy(desc.src, desc.dst, len).is_err()
-                    || memory.copy(desc.src, d2, len).is_err()
-                {
-                    return invalid;
-                }
-                CompletionRecord::success(desc.xfer_size)
-            }
-            Opcode::CrcGen | Opcode::CopyCrc => {
-                let seed = match desc.params {
-                    OpParams::CrcSeed(s) => s,
-                    _ => 0,
-                };
-                let Ok(src) = memory.read(desc.src, len) else { return invalid };
-                let mut crc = if seed == 0 { Crc32c::new() } else { Crc32c::with_seed(seed) };
-                crc.update(src);
-                let value = crc.finish();
-                if desc.opcode == Opcode::CopyCrc && memory.copy(desc.src, desc.dst, len).is_err() {
-                    return invalid;
-                }
-                CompletionRecord {
-                    status: Status::Success,
-                    bytes_completed: desc.xfer_size,
-                    result: value as u64,
-                }
-            }
-            Opcode::CreateDelta => {
-                let OpParams::Delta { record_addr, max_size } = desc.params else {
-                    return invalid;
-                };
-                let (Ok(a), Ok(b)) = (memory.read(desc.src, len), memory.read(desc.dst, len))
-                else {
-                    return invalid;
-                };
-                match delta::delta_create(a, b, max_size as usize) {
-                    Ok(rec) => {
-                        let size = rec.size_bytes();
-                        if memory.write(record_addr, rec.as_bytes()).is_err() {
+                    Err(_) => invalid,
+                },
+                Opcode::DifStrip => match dif::dif_strip(cfg, src) {
+                    Ok(out) => {
+                        if memory.write(desc.dst, &out).is_err() {
                             return invalid;
                         }
-                        CompletionRecord {
-                            status: Status::Success,
-                            bytes_completed: desc.xfer_size,
-                            result: size as u64,
-                        }
+                        CompletionRecord::success(desc.xfer_size)
                     }
-                    Err(delta::DeltaError::RecordOverflow { needed, .. }) => CompletionRecord {
-                        status: Status::DeltaOverflow,
+                    Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
+                        status: Status::DifError,
                         bytes_completed: 0,
-                        result: needed as u64,
+                        result: e.block as u64,
                     },
                     Err(_) => invalid,
-                }
-            }
-            Opcode::ApplyDelta => {
-                let OpParams::Delta { record_addr, max_size } = desc.params else {
-                    return invalid;
-                };
-                let Ok(raw) = memory.read(record_addr, max_size as u64) else { return invalid };
-                let Ok(rec) = delta::DeltaRecord::from_bytes(raw) else { return invalid };
-                let rec = rec.clone();
-                let Ok(target) = memory.read_mut(desc.dst, len) else { return invalid };
-                match delta::delta_apply(&rec, target) {
-                    Ok(()) => CompletionRecord::success(desc.xfer_size),
+                },
+                Opcode::DifUpdate => match dif::dif_update(cfg, cfg, src) {
+                    Ok(out) => {
+                        if memory.write(desc.dst, &out).is_err() {
+                            return invalid;
+                        }
+                        CompletionRecord::success(desc.xfer_size)
+                    }
+                    Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
+                        status: Status::DifError,
+                        bytes_completed: 0,
+                        result: e.block as u64,
+                    },
                     Err(_) => invalid,
-                }
+                },
+                _ => unreachable!("outer match restricts opcodes"),
             }
-            Opcode::DifCheck | Opcode::DifInsert | Opcode::DifStrip | Opcode::DifUpdate => {
-                let OpParams::Dif(cfg) = &desc.params else { return invalid };
-                let Ok(src) = memory.read(desc.src, len) else { return invalid };
-                match desc.opcode {
-                    Opcode::DifInsert => match dif::dif_insert(cfg, src) {
-                        Ok(out) => {
-                            if memory.write(desc.dst, &out).is_err() {
-                                return invalid;
-                            }
-                            CompletionRecord::success(desc.xfer_size)
-                        }
-                        Err(_) => invalid,
-                    },
-                    Opcode::DifCheck => match dif::dif_check(cfg, src) {
-                        Ok(()) => CompletionRecord::success(desc.xfer_size),
-                        Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
-                            status: Status::DifError,
-                            bytes_completed: (e.block * (cfg.block.bytes() + 8)) as u32,
-                            result: e.block as u64,
-                        },
-                        Err(_) => invalid,
-                    },
-                    Opcode::DifStrip => match dif::dif_strip(cfg, src) {
-                        Ok(out) => {
-                            if memory.write(desc.dst, &out).is_err() {
-                                return invalid;
-                            }
-                            CompletionRecord::success(desc.xfer_size)
-                        }
-                        Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
-                            status: Status::DifError,
-                            bytes_completed: 0,
-                            result: e.block as u64,
-                        },
-                        Err(_) => invalid,
-                    },
-                    Opcode::DifUpdate => match dif::dif_update(cfg, cfg, src) {
-                        Ok(out) => {
-                            if memory.write(desc.dst, &out).is_err() {
-                                return invalid;
-                            }
-                            CompletionRecord::success(desc.xfer_size)
-                        }
-                        Err(dif::DifCheckError::Dif(e)) => CompletionRecord {
-                            status: Status::DifError,
-                            bytes_completed: 0,
-                            result: e.block as u64,
-                        },
-                        Err(_) => invalid,
-                    },
-                    _ => unreachable!("outer match restricts opcodes"),
-                }
-            }
-            Opcode::CacheFlush => {
-                let flushed = memsys.llc_mut().flush_range(desc.dst, len);
-                CompletionRecord {
-                    status: Status::Success,
-                    bytes_completed: desc.xfer_size,
-                    result: flushed,
-                }
+        }
+        Opcode::CacheFlush => {
+            let flushed = memsys.llc_mut().flush_range(desc.dst, len);
+            CompletionRecord {
+                status: Status::Success,
+                bytes_completed: desc.xfer_size,
+                result: flushed,
             }
         }
     }

@@ -30,7 +30,6 @@ use dsa_device::device::SubmitError;
 use dsa_mem::buffer::Location;
 use dsa_mem::memory::BufferHandle;
 use dsa_mem::topology::Platform;
-use dsa_ops::OpKind;
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::stats::jain_fairness;
 use dsa_sim::time::{SimDuration, SimTime};
@@ -232,9 +231,8 @@ impl TenantState {
 
     /// Serves the job's copy on the cores.
     fn cpu_copy(&self, rt: &mut DsaRuntime) {
-        rt.cpu_op(OpKind::Memcpy, &self.src, &self.dst)
-            // dsa-lint: allow(unwrap, tenant buffers were allocated by this service's runtime)
-            .expect("tenant buffers are mapped");
+        let (record, _) = rt.cpu_op(&Job::memcpy(&self.src, &self.dst));
+        assert!(record.status.is_ok(), "tenant buffers are mapped: {:?}", record.status);
     }
 
     fn note_completion(&mut self, arrival: SimTime, completion: SimTime) -> SimDuration {
@@ -481,11 +479,6 @@ impl DsaService {
             }
         }
         steps
-    }
-
-    /// True when no tenant has a pending action (every stream drained).
-    pub fn is_idle(&mut self) -> bool {
-        self.queue.peek().is_none()
     }
 
     /// The instant of the earliest pending action, if any.

@@ -16,7 +16,6 @@ use dsa_core::runtime::DsaRuntime;
 use dsa_core::DsaError;
 use dsa_mem::buffer::Location;
 use dsa_mem::memory::BufferHandle;
-use dsa_ops::OpKind;
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::time::{SimDuration, SimTime};
 use dsa_telemetry::Track;
@@ -147,10 +146,14 @@ impl Migration {
                 for &b in &dirty {
                     // A core diffs and copies: charge a compare + a copy of
                     // the block (conservative software pre-copy).
-                    for op in [OpKind::Compare, OpKind::Memcpy] {
-                        rt.cpu_op(op, &self.src_blocks[b], &self.dst_blocks[b])
-                            // dsa-lint: allow(unwrap, guest blocks were allocated by this workload's setup)
-                            .expect("guest memory is mapped");
+                    let (src, dst) = (&self.src_blocks[b], &self.dst_blocks[b]);
+                    for job in [Job::compare(src, dst), Job::memcpy(src, dst)] {
+                        let (record, _) = rt.cpu_op(&job);
+                        assert!(
+                            record.status.is_ok(),
+                            "guest memory is mapped: {:?}",
+                            record.status
+                        );
                     }
                     copied += self.cfg.block_size;
                 }

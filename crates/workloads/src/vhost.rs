@@ -45,11 +45,6 @@ impl Virtqueue {
         Virtqueue { buffers, avail: (0..size).collect(), used: Vec::new() }
     }
 
-    /// Number of descriptors the guest has made available.
-    pub fn avail_count(&self) -> usize {
-        self.avail.len()
-    }
-
     /// The used ring (write-back order — must equal submission order).
     pub fn used_order(&self) -> &[u16] {
         &self.used

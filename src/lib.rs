@@ -32,10 +32,11 @@ pub use dsa_workloads as workloads;
 ///
 /// One `use dsa_repro::prelude::*;` brings in the runtime and job API
 /// ([`DsaRuntime`](dsa_core::runtime::DsaRuntime), `Job`, `Batch`,
-/// `AsyncQueue`), backend selection (`Engine`, `DispatchPolicy`,
-/// `Dispatcher`), configuration (`AccelConfig`, the [`presets`] module,
-/// `DeviceConfig`/`DeviceCaps`), the guideline advisors ([`guidelines`]),
-/// operation kinds ([`OpKind`]), the service layer (`DsaService`,
+/// `AsyncQueue`), where operations run (`Engine`, the `DsaBackend` device
+/// pool, and the `Dispatcher` with its `DispatchPolicy`), configuration
+/// (`AccelConfig`, the [`presets`] module, `DeviceConfig`/`DeviceCaps`),
+/// the guideline advisors ([`guidelines`]), operation kinds
+/// ([`OpKind`]), the service layer (`DsaService`,
 /// `TenantSpec`, …), the plan/SLO objects and the `dsa-ctl` control
 /// plane (`Plan`, `PlanSpec`, `SloTarget`, `Governor`), measurement
 /// helpers (`Measure`/`Mode`), and the simulated clock

@@ -2,7 +2,6 @@
 //! configurations, corrupted data, and record overflows must all surface
 //! as the architecture specifies — never as silent success.
 
-use dsa_core::backend::{CpuBackend, OffloadBackend, OffloadRequest};
 use dsa_core::config::AccelConfig;
 use dsa_core::job::Job;
 use dsa_core::runtime::DsaRuntime;
@@ -155,23 +154,24 @@ fn runtime_and_wild_handle() -> (DsaRuntime, BufferHandle, BufferHandle, BufferH
     (rt, a, b, wild)
 }
 
-/// The CPU fallback reports an inaccessible operand the way the device
-/// does: `InvalidDescriptor`, no time charged, no byte written.
-fn assert_cpu_rejects(rt: &mut DsaRuntime, req: OffloadRequest, good: &[BufferHandle]) {
+/// The CPU path reports an inaccessible operand the way the device does:
+/// `InvalidDescriptor`, no time charged, no byte written.
+fn assert_cpu_rejects(rt: &mut DsaRuntime, job: Job, good: &[BufferHandle]) {
     let now = rt.now();
-    let c = CpuBackend.run(rt, &req).unwrap();
-    assert_eq!(c.status, Status::InvalidDescriptor, "{:?}", req.op);
-    assert_eq!((c.elapsed, rt.now()), (SimDuration::ZERO, now), "{:?} charged time", req.op);
+    let op = job.descriptor().opcode;
+    let (record, elapsed) = rt.cpu_op(&job);
+    assert_eq!(record.status, Status::InvalidDescriptor, "{op:?}");
+    assert_eq!((elapsed, rt.now()), (SimDuration::ZERO, now), "{op:?} charged time");
     for buf in good {
-        assert!(rt.read(buf).unwrap().iter().all(|&x| x == 0x33), "{:?} wrote bytes", req.op);
+        assert!(rt.read(buf).unwrap().iter().all(|&x| x == 0x33), "{op:?} wrote bytes");
     }
 }
 
 #[test]
 fn cpu_fallback_memcpy_rejects_out_of_range_handles() {
     let (mut rt, a, b, wild) = runtime_and_wild_handle();
-    assert_cpu_rejects(&mut rt, OffloadRequest::memcpy(&wild, &b), &[a, b]);
-    assert_cpu_rejects(&mut rt, OffloadRequest::memcpy(&a, &wild), &[a, b]);
+    assert_cpu_rejects(&mut rt, Job::memcpy(&wild, &b), &[a, b]);
+    assert_cpu_rejects(&mut rt, Job::memcpy(&a, &wild), &[a, b]);
     // The device reports the same descriptor the same way.
     let report = Job::memcpy(&a, &wild).execute(&mut rt).unwrap();
     assert_eq!(report.record.status, Status::InvalidDescriptor);
@@ -180,22 +180,22 @@ fn cpu_fallback_memcpy_rejects_out_of_range_handles() {
 #[test]
 fn cpu_fallback_fill_rejects_out_of_range_handles() {
     let (mut rt, a, b, wild) = runtime_and_wild_handle();
-    assert_cpu_rejects(&mut rt, OffloadRequest::memset(&wild, 0x77), &[a, b]);
+    assert_cpu_rejects(&mut rt, Job::fill(&wild, 0x7777_7777_7777_7777), &[a, b]);
 }
 
 #[test]
 fn cpu_fallback_compare_rejects_out_of_range_handles() {
     let (mut rt, a, b, wild) = runtime_and_wild_handle();
-    assert_cpu_rejects(&mut rt, OffloadRequest::memcmp(&wild, &b), &[a, b]);
-    assert_cpu_rejects(&mut rt, OffloadRequest::memcmp(&a, &wild), &[a, b]);
-    let same = CpuBackend.run(&mut rt, &OffloadRequest::memcmp(&a, &b)).unwrap();
+    assert_cpu_rejects(&mut rt, Job::compare(&wild, &b), &[a, b]);
+    assert_cpu_rejects(&mut rt, Job::compare(&a, &wild), &[a, b]);
+    let (same, _) = rt.cpu_op(&Job::compare(&a, &b));
     assert_eq!(same.status, Status::Success, "valid operands still compare");
 }
 
 #[test]
 fn cpu_fallback_crc32_rejects_out_of_range_handles() {
     let (mut rt, a, b, wild) = runtime_and_wild_handle();
-    assert_cpu_rejects(&mut rt, OffloadRequest::crc32(&wild), &[a, b]);
+    assert_cpu_rejects(&mut rt, Job::crc32(&wild), &[a, b]);
 }
 
 /// On a timing-only runtime nothing can be read, so a compare or CRC can
@@ -206,15 +206,84 @@ fn timing_only_cpu_fallback_never_fakes_a_read() {
     let mut rt = DsaRuntime::builder(Platform::spr()).timing_only().build();
     let a = rt.alloc(4096, Location::local_dram());
     let b = rt.alloc(4096, Location::local_dram());
-    for req in [OffloadRequest::memcmp(&a, &b), OffloadRequest::crc32(&a)] {
-        let c = CpuBackend.run(&mut rt, &req).unwrap();
-        assert_eq!(c.status, Status::InvalidDescriptor, "{:?}", req.op);
+    for job in [Job::compare(&a, &b), Job::crc32(&a)] {
+        let (record, _) = rt.cpu_op(&job);
+        assert_eq!(record.status, Status::InvalidDescriptor, "{:?}", job.descriptor().opcode);
     }
-    let copy = CpuBackend.run(&mut rt, &OffloadRequest::memcpy(&a, &b)).unwrap();
+    let (copy, copy_elapsed) = rt.cpu_op(&Job::memcpy(&a, &b));
     assert_eq!(copy.status, Status::Success);
     let (mut backed, a, b, _) = runtime_and_wild_handle();
-    let expected = CpuBackend.run(&mut backed, &OffloadRequest::memcpy(&a, &b)).unwrap();
-    assert_eq!(copy.elapsed, expected.elapsed);
+    let (_, expected) = backed.cpu_op(&Job::memcpy(&a, &b));
+    assert_eq!(copy_elapsed, expected);
+}
+
+/// A runtime (backed or timing-only) holding a random buffer, a copy of
+/// it, a 0x5A-filled buffer and a zeroed destination, plus a handle
+/// outside every allocation of that runtime. Built the same way twice, it
+/// holds the same bytes twice.
+fn agreement_rig(timing_only: bool) -> (DsaRuntime, [BufferHandle; 4], BufferHandle) {
+    let mut builder = DsaRuntime::builder(Platform::spr());
+    if timing_only {
+        builder = builder.timing_only();
+    }
+    let mut rt = builder.build();
+    let bufs = [(); 4].map(|_| rt.alloc(4096, Location::local_dram()));
+    let [random, copy, pattern, _dst] = bufs;
+    rt.fill_random(&random);
+    rt.memory_mut().copy(random.addr(), copy.addr(), 4096).unwrap();
+    rt.fill_pattern(&pattern, 0x5A);
+    let mut elsewhere = Memory::new();
+    elsewhere.alloc(64 << 20, Location::local_dram());
+    (rt, bufs, elsewhere.alloc(4096, Location::local_dram()))
+}
+
+/// Every buffer's bytes (or the error reading them) in `bufs`.
+fn contents(rt: &DsaRuntime, bufs: &[BufferHandle]) -> Vec<Result<Vec<u8>, String>> {
+    bufs.iter().map(|b| rt.read(b).map(<[u8]>::to_vec).map_err(|e| format!("{e:?}"))).collect()
+}
+
+/// The CPU path runs an operation with the device's byte semantics: op
+/// by op, over valid operands and an out-of-range handle, on a backed
+/// and a timing-only runtime, `cpu_op` returns the status and result
+/// `Job::execute` reports and leaves the same bytes behind. A rejected
+/// operation charges no time and writes nothing.
+#[test]
+fn cpu_and_device_agree_op_by_op() {
+    let pattern = u64::from_le_bytes([0x5A; 8]);
+    for timing_only in [false, true] {
+        let (_, [random, copy, filled, dst], wild) = agreement_rig(timing_only);
+        let jobs = [
+            Job::memcpy(&random, &dst),
+            Job::memcpy(&wild, &dst),
+            Job::fill(&dst, 0x0123_4567_89AB_CDEF),
+            Job::fill(&wild, pattern),
+            Job::compare(&random, &copy),
+            Job::compare(&random, &filled),
+            Job::compare(&random, &wild),
+            Job::compare_pattern(&filled, pattern),
+            Job::compare_pattern(&random, pattern),
+            Job::compare_pattern(&wild, pattern),
+            Job::crc32(&random),
+            Job::crc32(&wild),
+        ];
+        for job in jobs {
+            let what = format!("{:?} timing_only={timing_only}", job.descriptor().opcode);
+            let (mut dev_rt, bufs, _) = agreement_rig(timing_only);
+            let device = job.clone().execute(&mut dev_rt).unwrap().record;
+            let (mut cpu_rt, _, _) = agreement_rig(timing_only);
+            let before = contents(&cpu_rt, &bufs);
+            let (cpu, elapsed) = cpu_rt.cpu_op(&job);
+            assert_eq!((cpu.status, cpu.result), (device.status, device.result), "{what}");
+            assert_eq!(contents(&cpu_rt, &bufs), contents(&dev_rt, &bufs), "{what}");
+            if cpu.status == Status::InvalidDescriptor {
+                assert_eq!((elapsed, cpu_rt.now()), (SimDuration::ZERO, SimTime::ZERO), "{what}");
+                assert_eq!(contents(&cpu_rt, &bufs), before, "{what}");
+            } else {
+                assert!(elapsed > SimDuration::ZERO, "{what}");
+                assert_eq!(cpu_rt.now(), SimTime::ZERO + elapsed, "{what}");
+            }
+        }
+    }
 }
 
 #[test]
