@@ -312,16 +312,30 @@ impl OpSlots {
         src_loc: Location,
         dst_loc: Location,
     ) -> OpSlots {
-        let src = rt.alloc(size, src_loc);
+        // Operations whose record reports nothing computed from operand
+        // bytes run on unbacked operands: the same addresses and timing,
+        // and no host time spent on bytes nobody reads.
+        let write_only = matches!(
+            op,
+            OpKind::Memcpy | OpKind::Dualcast | OpKind::Fill | OpKind::NtFill | OpKind::DifInsert
+        );
+        let mut operand = |len, loc| {
+            if write_only {
+                rt.alloc_unbacked(len, loc)
+            } else {
+                rt.alloc(len, loc)
+            }
+        };
+        let src = operand(size, src_loc);
         // DIF insert/update write size + 8 bytes per 512-B block.
         let dst_len = match op {
             OpKind::DifInsert | OpKind::DifUpdate => size + size / 512 * 8,
             _ => size,
         };
-        let dst = rt.alloc(dst_len, dst_loc);
+        let dst = operand(dst_len, dst_loc);
         let dst2 = match op {
-            OpKind::Dualcast => rt.alloc(size, dst_loc),
-            _ => rt.alloc(8, dst_loc),
+            OpKind::Dualcast => operand(size, dst_loc),
+            _ => operand(8, dst_loc),
         };
         let record = match op {
             OpKind::DeltaCreate | OpKind::DeltaApply => rt.alloc(size / 8 * 10 + 10, dst_loc),

@@ -60,13 +60,16 @@ impl RuntimeBuilder {
         self
     }
 
-    /// Backs the runtime with a [`Memory::timing_only`] byte store:
-    /// buffers get the same addresses and the same timing but hold no
-    /// bytes. Copies time exactly as on a backed runtime; operations that
-    /// read or write operand bytes (fill, compare, CRC, ...) complete with
-    /// `InvalidDescriptor`, on the device and on the CPU fallback alike,
-    /// and no completion record lands in memory. For simulations whose
-    /// results nobody reads.
+    /// Backs the runtime with a [`Memory::timing_only`] byte store, in
+    /// which every buffer is unbacked (see
+    /// [`DsaRuntime::alloc_unbacked`]): buffers get the same addresses and
+    /// the same timing but hold no bytes. Operations whose completion
+    /// record reports nothing computed from operand bytes (memmove,
+    /// dualcast, fill, DIF insert) time exactly as on a backed runtime;
+    /// operations that read operand bytes (compare, CRC, DIF check, ...)
+    /// complete with `InvalidDescriptor`, on the device and on the CPU
+    /// fallback alike, and no completion record lands in memory. For
+    /// simulations whose results nobody reads.
     pub fn timing_only(mut self) -> RuntimeBuilder {
         self.timing_only = true;
         self
@@ -257,33 +260,49 @@ impl DsaRuntime {
         h
     }
 
-    /// Fills a buffer with one byte value (a no-op on a
-    /// [`timing_only`](RuntimeBuilder::timing_only) runtime).
-    pub fn fill_pattern(&mut self, buf: &BufferHandle, byte: u8) {
-        if !self.memory.holds_bytes() {
-            return;
-        }
-        self.memory
-            .read_mut(buf.addr(), buf.len())
-            // dsa-lint: allow(unwrap, handles come from this runtime's allocator, so the range is mapped)
-            .expect("runtime-allocated buffer is mapped")
-            .fill(byte);
+    /// Allocates a buffer that holds no bytes and maps its pages: the
+    /// address, page size, location and mapping [`alloc`](Self::alloc)
+    /// would give it, so operations on it time the same. Writes into it
+    /// are dropped and reads fail (see [`dsa_mem::memory`]); for operands
+    /// whose contents nobody reads.
+    pub fn alloc_unbacked(&mut self, len: u64, loc: Location) -> BufferHandle {
+        let ps = self.page_size;
+        let h = self.memory.alloc_unbacked_with_pages(len, loc, ps);
+        self.memsys.page_table_mut().map_range(h.addr(), len.max(1), ps);
+        h
     }
 
-    /// Fills a buffer with reproducible pseudo-random bytes (a no-op on a
-    /// [`timing_only`](RuntimeBuilder::timing_only) runtime, which still
-    /// advances the seed stream).
+    /// The bytes of a buffer, or `None` if it is unbacked.
+    fn bytes_mut(&mut self, buf: &BufferHandle) -> Option<&mut [u8]> {
+        match self.memory.read_mut(buf.addr(), buf.len()) {
+            Ok(bytes) => Some(bytes),
+            Err(MemError::NoBytes { .. }) => None,
+            Err(e) => panic!("buffer {buf:?} is not from this runtime: {e}"),
+        }
+    }
+
+    /// Fills a buffer with one byte value (a no-op on an unbacked buffer).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer was not allocated by this runtime.
+    pub fn fill_pattern(&mut self, buf: &BufferHandle, byte: u8) {
+        if let Some(bytes) = self.bytes_mut(buf) {
+            bytes.fill(byte);
+        }
+    }
+
+    /// Fills a buffer with reproducible pseudo-random bytes (a no-op on an
+    /// unbacked buffer, which still advances the seed stream).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer was not allocated by this runtime.
     pub fn fill_random(&mut self, buf: &BufferHandle) {
         let mut rng = self.rng.split();
-        if !self.memory.holds_bytes() {
-            return;
+        if let Some(bytes) = self.bytes_mut(buf) {
+            rng.fill_bytes(bytes);
         }
-        let slice = self
-            .memory
-            .read_mut(buf.addr(), buf.len())
-            // dsa-lint: allow(unwrap, handles come from this runtime's allocator, so the range is mapped)
-            .expect("runtime-allocated buffer is mapped");
-        rng.fill_bytes(slice);
     }
 
     /// Reads buffer contents.
@@ -311,9 +330,8 @@ impl DsaRuntime {
     /// clock by the calibrated software time for the descriptor's
     /// operation and transfer size. Returns the completion record and the
     /// elapsed time. A record of `InvalidDescriptor` (an operand range the
-    /// core cannot access, or bytes a
-    /// [`timing_only`](RuntimeBuilder::timing_only) runtime does not hold)
-    /// charges no time.
+    /// core cannot access, or operand bytes an unbacked buffer does not
+    /// hold) charges no time.
     pub fn cpu_op(&mut self, job: &Job) -> (CompletionRecord, SimDuration) {
         let desc = job.descriptor();
         let record = run_op(&mut self.memory, &mut self.memsys, desc);
@@ -428,13 +446,41 @@ mod tests {
         let (record, t) = rt.cpu_op(&Job::memcpy(&a, &b));
         assert_eq!(record.status, Status::Success);
         assert_eq!(rt.now(), SimTime::ZERO + t);
+        // A fill reads no bytes: it succeeds and charges the software time.
         let (record, t_fill) = rt.cpu_op(&Job::fill(&a, 0));
+        assert_eq!(record.status, Status::Success);
+        let d = Location::local_dram();
+        assert_eq!(t_fill, rt.cpu_time(OpKind::Fill, 4096, d, d));
+        assert_eq!(rt.now(), SimTime::ZERO + t + t_fill);
+        let mut elsewhere = Memory::new();
+        elsewhere.alloc(64 << 20, d);
+        let wild = elsewhere.alloc(4096, d);
+        let (record, t_wild) = rt.cpu_op(&Job::fill(&wild, 0));
         assert_eq!(record.status, Status::InvalidDescriptor);
         assert_eq!(
-            (t_fill, rt.now()),
-            (SimDuration::ZERO, SimTime::ZERO + t),
+            (t_wild, rt.now()),
+            (SimDuration::ZERO, SimTime::ZERO + t + t_fill),
             "a failed op charges nothing"
         );
+    }
+
+    #[test]
+    fn unbacked_buffers_get_the_backed_layout_and_mapping() {
+        let mut backed = DsaRuntime::spr_default();
+        let mut mixed = DsaRuntime::spr_default();
+        let d = Location::local_dram();
+        for len in [1u64, 4096, 10_000] {
+            let h = backed.alloc(len, d);
+            assert_eq!(mixed.alloc_unbacked(len, d), h);
+            assert!(mixed.memsys().page_table().is_present(h.addr() + len - 1));
+        }
+        let b = mixed.alloc(64, d);
+        let u = mixed.alloc_unbacked(64, d);
+        mixed.fill_pattern(&u, 1);
+        mixed.fill_random(&u);
+        mixed.fill_pattern(&b, 0x5A);
+        assert_eq!(mixed.read(&u), Err(MemError::NoBytes { addr: u.addr() }));
+        assert!(mixed.read(&b).unwrap().iter().all(|&x| x == 0x5A));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::descriptor::{
 };
 use crate::timing::DsaTiming;
 use dsa_mem::buffer::Location;
-use dsa_mem::memory::Memory;
+use dsa_mem::memory::{MemError, Memory};
 use dsa_mem::memsys::{AgentId, MemSystem, WritePolicy};
 use dsa_mem::topology::Platform;
 use dsa_mem::translate::TranslationCache;
@@ -828,9 +828,16 @@ impl DsaDevice {
 /// completion record — the one place an operation touches bytes. The
 /// device runs it after its fault scan; the CPU path
 /// (`DsaRuntime::cpu_op` in `dsa-core`) runs it directly, since a core
-/// faults pages in transparently. An operand range that is unmapped,
-/// crosses allocations or (in a timing-only memory) holds no bytes the
-/// operation must read or write yields `InvalidDescriptor`.
+/// faults pages in transparently.
+///
+/// An operand range that is unmapped or crosses allocations yields
+/// `InvalidDescriptor`, and no byte moves. Operations whose record
+/// reports nothing computed from operand bytes (memmove, dualcast, fill,
+/// DIF insert) validate every operand range first, then drop the write to
+/// an unbacked destination and succeed, as [`Memory::copy`] does. Reading
+/// bytes an unbacked operand does not hold (compare, CRC, DIF check,
+/// delta, ... or an unbacked source feeding a backed destination) yields
+/// `InvalidDescriptor`: nothing fakes a read.
 pub fn run_op(memory: &mut Memory, memsys: &mut MemSystem, desc: &Descriptor) -> CompletionRecord {
     let len = desc.xfer_size as u64;
     let invalid =
@@ -849,6 +856,7 @@ pub fn run_op(memory: &mut Memory, memsys: &mut MemSystem, desc: &Descriptor) ->
                     memops::fill(buf, p);
                     CompletionRecord::success(desc.xfer_size)
                 }
+                Err(MemError::NoBytes { .. }) => CompletionRecord::success(desc.xfer_size),
                 Err(_) => invalid,
             }
         }
@@ -879,7 +887,11 @@ pub fn run_op(memory: &mut Memory, memsys: &mut MemSystem, desc: &Descriptor) ->
         }
         Opcode::Dualcast => {
             let OpParams::Dest2(d2) = desc.params else { return invalid };
-            if memory.copy(desc.src, desc.dst, len).is_err()
+            // Every range is checked before any byte moves. A copy over
+            // valid ranges then fails only for an unbacked source, and
+            // then neither copy writes.
+            if [desc.src, desc.dst, d2].into_iter().any(|a| memory.holds_bytes(a, len).is_err())
+                || memory.copy(desc.src, desc.dst, len).is_err()
                 || memory.copy(desc.src, d2, len).is_err()
             {
                 return invalid;
@@ -944,19 +956,29 @@ pub fn run_op(memory: &mut Memory, memsys: &mut MemSystem, desc: &Descriptor) ->
                 Err(_) => invalid,
             }
         }
-        Opcode::DifCheck | Opcode::DifInsert | Opcode::DifStrip | Opcode::DifUpdate => {
+        Opcode::DifInsert => {
+            let OpParams::Dif(cfg) = &desc.params else { return invalid };
+            // Whole blocks in, and room for their tuples out, before any
+            // byte is read.
+            let Ok(out_len) = dif::dif_insert_len(cfg, len as usize) else { return invalid };
+            let (Ok(_), Ok(dst_backed)) =
+                (memory.holds_bytes(desc.src, len), memory.holds_bytes(desc.dst, out_len as u64))
+            else {
+                return invalid;
+            };
+            if dst_backed {
+                let Ok(src) = memory.read(desc.src, len) else { return invalid };
+                let Ok(out) = dif::dif_insert(cfg, src) else { return invalid };
+                if memory.write(desc.dst, &out).is_err() {
+                    return invalid;
+                }
+            }
+            CompletionRecord::success(desc.xfer_size)
+        }
+        Opcode::DifCheck | Opcode::DifStrip | Opcode::DifUpdate => {
             let OpParams::Dif(cfg) = &desc.params else { return invalid };
             let Ok(src) = memory.read(desc.src, len) else { return invalid };
             match desc.opcode {
-                Opcode::DifInsert => match dif::dif_insert(cfg, src) {
-                    Ok(out) => {
-                        if memory.write(desc.dst, &out).is_err() {
-                            return invalid;
-                        }
-                        CompletionRecord::success(desc.xfer_size)
-                    }
-                    Err(_) => invalid,
-                },
                 Opcode::DifCheck => match dif::dif_check(cfg, src) {
                     Ok(()) => CompletionRecord::success(desc.xfer_size),
                     Err(dif::DifCheckError::Dif(e)) => CompletionRecord {

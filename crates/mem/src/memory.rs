@@ -10,11 +10,16 @@
 //! here. The two are kept separate so functional execution can never
 //! accidentally depend on timing state or vice versa.
 //!
-//! A [`Memory::timing_only`] address space hands out the same addresses,
-//! lengths, page sizes and locations as a backed one but holds no bytes:
-//! copies validate their ranges and move nothing, and every byte access
-//! fails with [`MemError::NoBytes`]. Simulations whose results nobody
-//! reads (the control plane's digital twins) run on one.
+//! Whether an allocation holds bytes is a property of that allocation.
+//! An *unbacked* one ([`Memory::alloc_unbacked_with_pages`]) gets the
+//! address, length, page size and location a backed one would, but no
+//! bytes: every byte access to it fails with [`MemError::NoBytes`], and a
+//! copy into it validates both ranges and moves nothing. A copy from an
+//! unbacked source into a backed destination fails with
+//! [`MemError::NoBytes`], so a backed buffer never silently keeps stale
+//! bytes. Buffers whose contents nobody reads (the write-only operands of
+//! the figure sweeps) are unbacked; in a [`Memory::timing_only`] address
+//! space (the control plane's digital twins) every allocation is.
 
 use crate::buffer::{Location, PageSize};
 use std::collections::BTreeMap;
@@ -56,11 +61,12 @@ impl BufferHandle {
 
 #[derive(Debug)]
 struct Segment {
-    /// Declared length. `data` holds that many bytes in a backed memory
-    /// and none in a timing-only one. (A boxed slice, not a `Vec`, so the
-    /// segment is no larger than when the `Vec` carried the length.)
+    /// Declared length. `data` holds that many bytes in a backed
+    /// allocation and is `None` in an unbacked one. (A boxed slice, not a
+    /// `Vec`, so the segment is no larger than when the `Vec` carried the
+    /// length.)
     len: u64,
-    data: Box<[u8]>,
+    data: Option<Box<[u8]>>,
     location: Location,
     page_size: PageSize,
 }
@@ -78,7 +84,7 @@ pub enum MemError {
         /// Start of the offending range.
         addr: u64,
     },
-    /// The range is valid but the memory is timing-only: it holds no
+    /// The range is valid but its allocation is unbacked: it holds no
     /// bytes to read or write.
     NoBytes {
         /// Start of the range.
@@ -94,7 +100,7 @@ impl fmt::Display for MemError {
                 write!(f, "range at {addr:#x} crosses allocation boundaries")
             }
             MemError::NoBytes { addr } => {
-                write!(f, "range at {addr:#x} is in a timing-only memory that holds no bytes")
+                write!(f, "range at {addr:#x} is in an unbacked allocation that holds no bytes")
             }
         }
     }
@@ -125,17 +131,22 @@ impl Memory {
         Memory { segments: BTreeMap::new(), next_base: 0x1000_0000, timing_only: false }
     }
 
-    /// Creates an empty address space that holds no bytes: allocations
-    /// get the addresses [`new`](Memory::new) would give them, copies
-    /// only validate their ranges, and reads and writes fail with
-    /// [`MemError::NoBytes`].
+    /// Creates an empty address space in which every allocation is
+    /// unbacked: allocations get the addresses [`new`](Memory::new) would
+    /// give them, copies only validate their ranges, and reads and writes
+    /// fail with [`MemError::NoBytes`].
     pub fn timing_only() -> Memory {
         Memory { timing_only: true, ..Memory::new() }
     }
 
-    /// False for a [`timing_only`](Memory::timing_only) address space.
-    pub fn holds_bytes(&self) -> bool {
-        !self.timing_only
+    /// Whether the range at `addr` holds bytes: false in an unbacked
+    /// allocation.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the range is unmapped or spans allocations.
+    pub fn holds_bytes(&self, addr: u64, len: u64) -> Result<bool, MemError> {
+        Ok(self.segment_of(addr, len)?.1.data.is_some())
     }
 
     /// Allocates `len` bytes in `location` with 4 KiB pages.
@@ -155,11 +166,34 @@ impl Memory {
         location: Location,
         page_size: PageSize,
     ) -> BufferHandle {
+        self.insert(len, location, page_size, !self.timing_only)
+    }
+
+    /// Allocates like [`alloc_with_pages`](Memory::alloc_with_pages) —
+    /// same address, length, page size and location — but holds no bytes:
+    /// reads and writes fail with [`MemError::NoBytes`] and copies into
+    /// it move nothing.
+    pub fn alloc_unbacked_with_pages(
+        &mut self,
+        len: u64,
+        location: Location,
+        page_size: PageSize,
+    ) -> BufferHandle {
+        self.insert(len, location, page_size, false)
+    }
+
+    fn insert(
+        &mut self,
+        len: u64,
+        location: Location,
+        page_size: PageSize,
+        backed: bool,
+    ) -> BufferHandle {
         let align = page_size.bytes();
         let base = self.next_base.div_ceil(align) * align;
         let span = (len.div_ceil(align) * align).max(align);
         self.next_base = base + span;
-        let data = if self.timing_only { Box::default() } else { vec![0; len as usize].into() };
+        let data = backed.then(|| vec![0; len as usize].into());
         self.segments.insert(base, Segment { len, data, location, page_size });
         BufferHandle { base, len }
     }
@@ -176,26 +210,17 @@ impl Memory {
         Ok((base, seg))
     }
 
-    /// [`segment_of`](Self::segment_of) for an access that needs the
-    /// bytes themselves.
-    fn bytes_of(&self, addr: u64, len: u64) -> Result<(u64, &Segment), MemError> {
-        let found = self.segment_of(addr, len)?;
-        if self.timing_only {
-            return Err(MemError::NoBytes { addr });
-        }
-        Ok(found)
-    }
-
     /// Reads `len` bytes at `addr`.
     ///
     /// # Errors
     ///
     /// Fails if the range is unmapped or spans allocations, or with
-    /// [`MemError::NoBytes`] in a timing-only memory.
+    /// [`MemError::NoBytes`] in an unbacked allocation.
     pub fn read(&self, addr: u64, len: u64) -> Result<&[u8], MemError> {
-        let (base, seg) = self.bytes_of(addr, len)?;
+        let (base, seg) = self.segment_of(addr, len)?;
+        let data = seg.data.as_deref().ok_or(MemError::NoBytes { addr })?;
         let off = (addr - base) as usize;
-        Ok(&seg.data[off..off + len as usize])
+        Ok(&data[off..off + len as usize])
     }
 
     /// Writes `bytes` at `addr`.
@@ -203,12 +228,9 @@ impl Memory {
     /// # Errors
     ///
     /// Fails if the range is unmapped or spans allocations, or with
-    /// [`MemError::NoBytes`] in a timing-only memory.
+    /// [`MemError::NoBytes`] in an unbacked allocation.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<(), MemError> {
-        let (base, _) = self.bytes_of(addr, bytes.len() as u64)?;
-        let seg = self.segments.get_mut(&base).ok_or(MemError::Unmapped { addr })?;
-        let off = (addr - base) as usize;
-        seg.data[off..off + bytes.len()].copy_from_slice(bytes);
+        self.read_mut(addr, bytes.len() as u64)?.copy_from_slice(bytes);
         Ok(())
     }
 
@@ -217,37 +239,50 @@ impl Memory {
     /// # Errors
     ///
     /// Fails if the range is unmapped or spans allocations, or with
-    /// [`MemError::NoBytes`] in a timing-only memory.
+    /// [`MemError::NoBytes`] in an unbacked allocation.
     pub fn read_mut(&mut self, addr: u64, len: u64) -> Result<&mut [u8], MemError> {
-        let (base, _) = self.bytes_of(addr, len)?;
+        let (base, _) = self.segment_of(addr, len)?;
         let seg = self.segments.get_mut(&base).ok_or(MemError::Unmapped { addr })?;
+        let data = seg.data.as_deref_mut().ok_or(MemError::NoBytes { addr })?;
         let off = (addr - base) as usize;
-        Ok(&mut seg.data[off..off + len as usize])
+        Ok(&mut data[off..off + len as usize])
     }
 
     /// Copies `len` bytes from `src` to `dst` (may be in different
     /// allocations; overlapping ranges have `memmove` semantics).
     ///
+    /// A copy into an unbacked destination validates both ranges and
+    /// moves nothing.
+    ///
     /// # Errors
     ///
-    /// Fails if either range is invalid; no byte moves unless both are
-    /// valid. A timing-only memory validates both ranges and moves
-    /// nothing.
+    /// Fails if either range is invalid, or with [`MemError::NoBytes`]
+    /// when an unbacked source would feed a backed destination; no byte
+    /// moves unless the copy succeeds.
     pub fn copy(&mut self, src: u64, dst: u64, len: u64) -> Result<(), MemError> {
-        let (src_base, _) = self.segment_of(src, len)?;
-        let (dst_base, _) = self.segment_of(dst, len)?;
-        if self.timing_only {
+        let (src_base, src_seg) = self.segment_of(src, len)?;
+        let src_backed = src_seg.data.is_some();
+        let (dst_base, dst_seg) = self.segment_of(dst, len)?;
+        if dst_seg.data.is_none() {
             return Ok(());
         }
+        if !src_backed {
+            return Err(MemError::NoBytes { addr: src });
+        }
         let (from, to, n) = ((src - src_base) as usize, (dst - dst_base) as usize, len as usize);
-        let mut between = self.segments.range_mut(src_base.min(dst_base)..=src_base.max(dst_base));
-        let Some((_, first)) = between.next() else { return Err(MemError::Unmapped { addr: src }) };
-        match between.next_back() {
+        // Both ends are backed, so skipping unbacked allocations in
+        // between leaves them as the first and last items.
+        let mut ends = self
+            .segments
+            .range_mut(src_base.min(dst_base)..=src_base.max(dst_base))
+            .filter_map(|(_, seg)| seg.data.as_deref_mut());
+        let Some(first) = ends.next() else { return Err(MemError::Unmapped { addr: src }) };
+        match ends.next_back() {
             // Same allocation: the ranges may overlap.
-            None => first.data.copy_within(from..from + n, to),
-            Some((_, last)) => {
+            None => first.copy_within(from..from + n, to),
+            Some(last) => {
                 let (s, d) = if src_base < dst_base { (first, last) } else { (last, first) };
-                d.data[to..to + n].copy_from_slice(&s.data[from..from + n]);
+                d[to..to + n].copy_from_slice(&s[from..from + n]);
             }
         }
         Ok(())
@@ -289,8 +324,8 @@ impl Memory {
         self.segments.iter().map(|(&b, s)| (b, s.len, s.location, s.page_size))
     }
 
-    /// Total allocated bytes (declared lengths, in a timing-only memory
-    /// too).
+    /// Total allocated bytes (declared lengths, unbacked allocations
+    /// included).
     pub fn allocated_bytes(&self) -> u64 {
         self.segments.values().map(|s| s.len).sum()
     }
@@ -457,8 +492,8 @@ mod tests {
     #[test]
     fn timing_only_byte_access_is_a_typed_error() {
         let mut m = Memory::timing_only();
-        assert!(!m.holds_bytes());
         let b = m.alloc(64, Location::local_dram());
+        assert_eq!(m.holds_bytes(b.addr(), 64), Ok(false));
         let no_bytes = MemError::NoBytes { addr: b.addr() + 8 };
         assert_eq!(m.read(b.addr() + 8, 16), Err(no_bytes));
         assert_eq!(m.read(b.addr() + 8, 0), Err(no_bytes), "never an empty slice");
@@ -471,7 +506,7 @@ mod tests {
             Err(MemError::CrossesSegments { addr: b.addr() + 60 })
         );
         assert_eq!(m.copy(b.addr(), b.addr() + 32, 32), Ok(()));
-        assert!(MemError::NoBytes { addr: 0x40 }.to_string().contains("timing-only"));
+        assert!(MemError::NoBytes { addr: 0x40 }.to_string().contains("unbacked"));
     }
 
     #[test]

@@ -342,18 +342,36 @@ fn timing_only_memory_hands_out_the_backed_layout() {
     }
 }
 
+/// A copy fails on a bad range wherever its allocations hold bytes: a
+/// timing-only memory fails exactly where a backed one does, and so does a
+/// memory mixing backed and unbacked allocations, which may add only
+/// `NoBytes` for an unbacked source feeding a backed destination.
 #[test]
 fn timing_only_copy_fails_exactly_where_a_backed_copy_fails() {
     let mut rng = SplitMix64::new(0x3E3_000B);
-    let mut outcomes = [0u32; 3];
+    let mut outcomes = [0u32; 4];
     for _ in 0..CASES {
         let mut backed = Memory::new();
         let mut timing = Memory::timing_only();
+        let mut mixed = Memory::new();
         let mut bufs = Vec::new();
         for _ in 0..2 + rng.next_below(4) {
             let len = 1 + rng.next_below(64 << 10);
-            bufs.push(backed.alloc(len, Location::local_dram()));
-            timing.alloc(len, Location::local_dram());
+            let h = backed.alloc(len, Location::local_dram());
+            let unbacked = rng.next_below(2) == 0;
+            let (t, m) = if unbacked {
+                let ub = |m: &mut Memory| {
+                    m.alloc_unbacked_with_pages(len, Location::local_dram(), PageSize::Base4K)
+                };
+                (ub(&mut timing), ub(&mut mixed))
+            } else {
+                (
+                    timing.alloc(len, Location::local_dram()),
+                    mixed.alloc(len, Location::local_dram()),
+                )
+            };
+            assert_eq!((t, m), (h, h));
+            bufs.push(h);
         }
         for _ in 0..64 {
             // Addresses in, just past, and far outside the buffers, so
@@ -370,14 +388,62 @@ fn timing_only_copy_fails_exactly_where_a_backed_copy_fails() {
             let len = rng.next_below(16 << 10);
             let got = backed.copy(src, dst, len);
             assert_eq!(timing.copy(src, dst, len), got);
-            outcomes[match got {
+            let starves = got.is_ok()
+                && mixed.holds_bytes(dst, len) == Ok(true)
+                && mixed.holds_bytes(src, len) == Ok(false);
+            let want = if starves { Err(MemError::NoBytes { addr: src }) } else { got };
+            assert_eq!(mixed.copy(src, dst, len), want);
+            outcomes[match want {
                 Ok(()) => 0,
                 Err(MemError::Unmapped { .. }) => 1,
-                Err(_) => 2,
+                Err(MemError::CrossesSegments { .. }) => 2,
+                Err(MemError::NoBytes { .. }) => 3,
             }] += 1;
         }
     }
-    assert!(outcomes.iter().all(|&n| n > 0), "ok/unmapped/crossing counts {outcomes:?}");
+    assert!(outcomes.iter().all(|&n| n > 0), "ok/unmapped/crossing/no-bytes counts {outcomes:?}");
+}
+
+/// In one memory, a backed buffer never takes bytes from an unbacked one
+/// and an unbacked one never holds any: backed -> unbacked succeeds and
+/// moves nothing, unbacked -> backed fails with `NoBytes` and leaves the
+/// destination as it was, and backed -> backed copies across an unbacked
+/// allocation in between.
+#[test]
+fn mixed_memory_copies_never_invent_bytes() {
+    let mut m = Memory::new();
+    let d = Location::local_dram();
+    let lo = m.alloc(64, d);
+    let hole = m.alloc_unbacked_with_pages(64, d, PageSize::Base4K);
+    let hi = m.alloc(64, d);
+    assert_eq!(m.holds_bytes(lo.addr(), 64), Ok(true));
+    assert_eq!(m.holds_bytes(hole.addr(), 64), Ok(false));
+    assert_eq!(
+        m.holds_bytes(hole.addr() + 60, 8),
+        Err(MemError::CrossesSegments { addr: hole.addr() + 60 })
+    );
+    m.write(lo.addr(), &[7; 64]).unwrap();
+    m.write(hi.addr(), &[9; 64]).unwrap();
+
+    assert_eq!(m.copy(lo.addr(), hole.addr(), 64), Ok(()));
+    assert_eq!(m.read(hole.addr(), 1), Err(MemError::NoBytes { addr: hole.addr() }));
+    assert_eq!(m.read(lo.addr(), 64).unwrap(), &[7; 64]);
+
+    assert_eq!(
+        m.copy(hole.addr() + 8, hi.addr(), 32),
+        Err(MemError::NoBytes { addr: hole.addr() + 8 })
+    );
+    assert_eq!(m.read(hi.addr(), 64).unwrap(), &[9; 64]);
+    // Range errors still come first.
+    assert_eq!(
+        m.copy(hole.addr(), hi.addr() + 40, 32),
+        Err(MemError::CrossesSegments { addr: hi.addr() + 40 })
+    );
+
+    m.copy(lo.addr(), hi.addr() + 16, 32).unwrap();
+    assert_eq!(m.read(hi.addr(), 64).unwrap(), [[9; 16], [7; 16], [7; 16], [9; 16]].concat());
+    m.copy(hi.addr(), lo.addr(), 16).unwrap();
+    assert_eq!(m.read(lo.addr(), 32).unwrap(), [[9; 16], [7; 16]].concat());
 }
 
 /// The device's fault scan as it stood before [`PageTable::scan_faults`]:

@@ -182,11 +182,7 @@ impl DifConfig {
 /// Returns `Err` if `src` is not a multiple of the block size.
 pub fn dif_insert(cfg: &DifConfig, src: &[u8]) -> Result<Vec<u8>, DifLayoutError> {
     let bs = cfg.block.bytes();
-    if src.is_empty() || !src.len().is_multiple_of(bs) {
-        return Err(DifLayoutError { len: src.len(), block: bs });
-    }
-    let blocks = src.len() / bs;
-    let mut out = Vec::with_capacity(src.len() + blocks * 8);
+    let mut out = Vec::with_capacity(dif_insert_len(cfg, src.len())?);
     for (i, chunk) in src.chunks_exact(bs).enumerate() {
         out.extend_from_slice(chunk);
         let tuple = DifTuple {
@@ -197,6 +193,19 @@ pub fn dif_insert(cfg: &DifConfig, src: &[u8]) -> Result<Vec<u8>, DifLayoutError
         out.extend_from_slice(&tuple.to_bytes());
     }
     Ok(out)
+}
+
+/// The length [`dif_insert`] produces from `len` bytes of input.
+///
+/// # Errors
+///
+/// Returns `Err` if `len` is not a non-zero multiple of the block size.
+pub fn dif_insert_len(cfg: &DifConfig, len: usize) -> Result<usize, DifLayoutError> {
+    let bs = cfg.block.bytes();
+    if len == 0 || !len.is_multiple_of(bs) {
+        return Err(DifLayoutError { len, block: bs });
+    }
+    Ok(len + len / bs * 8)
 }
 
 /// Verifies DIF tuples in `protected` (the DIF Check operation).

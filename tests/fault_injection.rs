@@ -7,7 +7,7 @@ use dsa_core::job::Job;
 use dsa_core::runtime::DsaRuntime;
 use dsa_core::DsaError;
 use dsa_device::config::{ConfigError, DeviceCaps};
-use dsa_device::descriptor::{Descriptor, Status};
+use dsa_device::descriptor::{Descriptor, Opcode, Status};
 use dsa_device::device::{SubmitError, WqId};
 use dsa_mem::buffer::Location;
 use dsa_mem::memory::{BufferHandle, Memory};
@@ -243,20 +243,28 @@ fn contents(rt: &DsaRuntime, bufs: &[BufferHandle]) -> Vec<Result<Vec<u8>, Strin
 }
 
 /// The CPU path runs an operation with the device's byte semantics: op
-/// by op, over valid operands and an out-of-range handle, on a backed
-/// and a timing-only runtime, `cpu_op` returns the status and result
-/// `Job::execute` reports and leaves the same bytes behind. A rejected
-/// operation charges no time and writes nothing.
+/// by op, over valid operands, out-of-range handles and short
+/// destinations, on a backed and a timing-only runtime, `cpu_op` returns
+/// the status and result `Job::execute` reports and leaves the same bytes
+/// behind. A rejected operation charges no time and writes nothing, and
+/// an operation that reads no operand bytes for its record (copy,
+/// dualcast, fill, DIF insert) gets the same status on both runtimes.
 #[test]
 fn cpu_and_device_agree_op_by_op() {
     let pattern = u64::from_le_bytes([0x5A; 8]);
+    let cfg = DifConfig::new(DifBlockSize::B512);
+    let write_only = [Opcode::Memmove, Opcode::Dualcast, Opcode::Fill, Opcode::DifInsert];
+    let mut write_only_statuses = [Vec::new(), Vec::new()];
     for timing_only in [false, true] {
         let (_, [random, copy, filled, dst], wild) = agreement_rig(timing_only);
         let jobs = [
             Job::memcpy(&random, &dst),
             Job::memcpy(&wild, &dst),
             Job::fill(&dst, 0x0123_4567_89AB_CDEF),
+            Job::fill(&dst.slice(1000, 2000), 0x0123_4567_89AB_CDEF),
             Job::fill(&wild, pattern),
+            // Runs past the end of its buffer.
+            Job::from_descriptor(Descriptor::fill(dst.addr() + 2048, 4096, pattern)),
             Job::compare(&random, &copy),
             Job::compare(&random, &filled),
             Job::compare(&random, &wild),
@@ -265,9 +273,20 @@ fn cpu_and_device_agree_op_by_op() {
             Job::compare_pattern(&wild, pattern),
             Job::crc32(&random),
             Job::crc32(&wild),
+            Job::dualcast(&random, &dst, &filled),
+            // A bad second destination must not let the first one change.
+            Job::dualcast(&random, &dst, &wild),
+            Job::dualcast(&random, &dst, &filled.slice(2048, 2048)),
+            Job::dualcast(&wild, &dst, &filled),
+            Job::dif_insert(&random.slice(0, 2048), &dst, cfg),
+            // Eight blocks insert 4,160 bytes: the destination is short.
+            Job::dif_insert(&random, &dst, cfg),
+            Job::dif_insert(&random.slice(0, 1000), &dst, cfg),
+            Job::dif_insert(&wild, &dst, cfg),
         ];
         for job in jobs {
-            let what = format!("{:?} timing_only={timing_only}", job.descriptor().opcode);
+            let op = job.descriptor().opcode;
+            let what = format!("{op:?} timing_only={timing_only}");
             let (mut dev_rt, bufs, _) = agreement_rig(timing_only);
             let device = job.clone().execute(&mut dev_rt).unwrap().record;
             let (mut cpu_rt, _, _) = agreement_rig(timing_only);
@@ -282,8 +301,15 @@ fn cpu_and_device_agree_op_by_op() {
                 assert!(elapsed > SimDuration::ZERO, "{what}");
                 assert_eq!(cpu_rt.now(), SimTime::ZERO + elapsed, "{what}");
             }
+            if write_only.contains(&op) {
+                write_only_statuses[usize::from(timing_only)].push((op, cpu.status));
+            }
         }
     }
+    let [backed, timing] = write_only_statuses;
+    assert_eq!(timing, backed, "write-only ops: timing-only vs backed");
+    assert!(backed.iter().any(|(_, s)| *s == Status::Success));
+    assert!(backed.iter().any(|(_, s)| *s == Status::InvalidDescriptor));
 }
 
 #[test]
