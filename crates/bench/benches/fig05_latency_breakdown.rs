@@ -2,10 +2,10 @@
 //! DSA Memory Copy offload (stacked bars: allocate / prepare / submit /
 //! wait) with varying batch sizes at a 4 KiB transfer size.
 //!
-//! Both tables below are derived from **recorded telemetry spans**, not
-//! ad-hoc arithmetic: a [`Hub`] is attached to the runtime, the job layer
-//! emits alloc/prepare/submit/wait spans, and the device emits a
-//! six-phase lifecycle span per descriptor.
+//! Both tables below are derived from **recorded telemetry**, not ad-hoc
+//! arithmetic: a [`Hub`] is attached to the runtime, the job layer writes
+//! one record per job plus a wait span, and the alloc/prepare/submit spans
+//! and each descriptor's six-phase lifecycle are derived from the records.
 //!
 //! Expected shape: descriptor *allocation* dominates when counted (and is
 //! amortizable); waiting and submission follow; preparation is negligible.
@@ -23,12 +23,9 @@ fn job_span_sum(hub: &Hub, name: &str) -> SimDuration {
     hub.with_events(|events| {
         events
             .iter()
-            .filter_map(|e| match e {
-                Event::Span(s) if s.track == Track::Job && s.name == name => {
-                    Some(s.end.duration_since(s.start))
-                }
-                _ => None,
-            })
+            .flat_map(Event::spans)
+            .filter(|s| s.track == Track::Job && s.name == name)
+            .map(|s| s.end.duration_since(s.start))
             .sum()
     })
 }

@@ -45,11 +45,11 @@ use crate::runtime::DsaRuntime;
 use crate::submit::{InflightWindow, SubmitMethod, WaitMethod};
 use dsa_device::config::WqMode;
 use dsa_device::descriptor::{BatchDescriptor, CompletionRecord, Descriptor};
-use dsa_device::device::{ExecTimeline, SubmitError, WqId};
+use dsa_device::device::{BatchExecution, ExecTimeline, Execution, SubmitError, WqId};
 use dsa_mem::memory::BufferHandle;
 use dsa_ops::dif::DifConfig;
 use dsa_sim::time::{SimDuration, SimTime};
-use dsa_telemetry::{JobTrace, Labels, Track};
+use dsa_telemetry::{JobRecord, Labels, RecordKind, Track};
 
 /// Descriptor allocation cost when not amortized (paper Fig. 5: "the
 /// descriptor allocation time is where most time is spent, though in
@@ -316,8 +316,7 @@ impl Job {
         self.preflight(rt)?;
         let (outcome, _cost) = self.attempt(rt);
         let exec = outcome?;
-        self.note_submit_spans(rt, job_start);
-        self.note_causal_trace(rt, job_start, &exec);
+        self.note_job(rt, job_start, &exec);
         Ok(self.handle_for(rt, &exec))
     }
 
@@ -339,8 +338,7 @@ impl Job {
             }
         };
         phases.submit = submit_cost;
-        self.note_submit_spans(rt, job_start);
-        self.note_causal_trace(rt, job_start, &exec);
+        self.note_job(rt, job_start, &exec);
         let handle = self.handle_for(rt, &exec);
         Ok((handle, phases))
     }
@@ -367,10 +365,7 @@ impl Job {
     /// port serialization for shared WQs) is charged to the clock whether
     /// or not the device accepts — a rejected `ENQCMD` still completed
     /// with Retry status — and returned alongside the outcome.
-    fn attempt(
-        &self,
-        rt: &mut DsaRuntime,
-    ) -> (Result<dsa_device::device::Execution, SubmitError>, SimDuration) {
+    fn attempt(&self, rt: &mut DsaRuntime) -> (Result<Execution, SubmitError>, SimDuration) {
         let method = match rt.device(self.device).wq_mode(WqId(self.wq)) {
             WqMode::Dedicated => SubmitMethod::Movdir64b,
             WqMode::Shared => SubmitMethod::Enqcmd,
@@ -389,55 +384,92 @@ impl Job {
         let cost = accept_at.duration_since(issue);
         let outcome = dev.submit(memory, memsys, WqId(self.wq), &self.desc, accept_at);
         rt.advance(cost);
+        if let Err(SubmitError::WqFull { .. }) = outcome {
+            note_wq_full(rt, self.device, self.wq);
+        }
         (outcome, cost)
     }
 
-    fn note_submit_spans(&self, rt: &DsaRuntime, job_start: SimTime) {
+    /// Writes the job's one telemetry record. The timeline is analytic,
+    /// so the full path is known at submission — this covers sync, async,
+    /// and service callers alike (the service never calls `wait`; it
+    /// reads `completion_time` directly).
+    fn note_job(&self, rt: &DsaRuntime, job_start: SimTime, exec: &Execution) {
         if let Some(hub) = rt.hub() {
-            let mut t = job_start;
-            if !self.amortized {
-                hub.span(Track::Job, "alloc", t, t + DESC_ALLOC);
-                t += DESC_ALLOC;
-            }
-            hub.span(Track::Job, "prepare", t, t + DESC_PREPARE);
-            hub.span(Track::Job, "submit", t + DESC_PREPARE, rt.now());
-            hub.counter_add("jobs", Labels::wq(self.device as u16, self.wq as u16), 1);
+            hub.record(JobRecord {
+                alloc: if self.amortized { SimDuration::ZERO } else { DESC_ALLOC },
+                prepare: DESC_PREPARE,
+                ..exec_record(
+                    RecordKind::Job,
+                    (self.device, self.wq),
+                    &self.desc,
+                    exec,
+                    job_start,
+                    rt,
+                )
+            });
         }
     }
 
-    /// Records the job's attributed critical path: five segments that
-    /// exactly partition job start → completion-record visibility. The
-    /// timeline is analytic, so the full path is known at submission —
-    /// this covers sync, async, and service callers alike (the service
-    /// never calls `wait`; it reads `completion_time` directly).
-    /// Software prep absorbs alloc/prepare/portal-write time plus any
-    /// rejected-attempt backoff spent before the WQ accepted.
-    fn note_causal_trace(
-        &self,
-        rt: &DsaRuntime,
-        job_start: SimTime,
-        exec: &dsa_device::device::Execution,
-    ) {
-        if let Some(hub) = rt.hub() {
-            let tl = &exec.timeline;
-            hub.record_job_trace(JobTrace::from_boundaries(
-                hub.next_trace_id(),
-                self.device as u16,
-                self.wq as u16,
-                self.desc.opcode.mnemonic(),
-                self.desc.xfer_size,
-                [job_start, tl.admitted, tl.dispatched, tl.translated, tl.data_done, tl.completed],
-            ));
-        }
-    }
-
-    fn handle_for(&self, rt: &DsaRuntime, exec: &dsa_device::device::Execution) -> JobHandle {
+    fn handle_for(&self, rt: &DsaRuntime, exec: &Execution) -> JobHandle {
         JobHandle {
             record: exec.record,
             device_timeline: exec.timeline,
             submit_end: rt.now(),
             xfer_size: self.desc.xfer_size,
         }
+    }
+}
+
+/// Counts a submission the WQ refused.
+fn note_wq_full(rt: &DsaRuntime, device: usize, wq: usize) {
+    if let Some(hub) = rt.hub() {
+        hub.counter_add("wq_full", Labels::wq(device as u16, wq as u16), 1);
+    }
+}
+
+/// The record's eight marks: the core-side `start` and the `rt.now()`
+/// submission end, then the device timeline from admission on.
+fn marks(start: SimTime, rt: &DsaRuntime, tl: &ExecTimeline) -> [SimTime; 8] {
+    debug_assert_eq!(tl.submitted, tl.admitted, "a WQ admits at the portal or refuses");
+    [
+        start,
+        rt.now(),
+        tl.admitted,
+        tl.dispatched,
+        tl.translated,
+        tl.read_done,
+        tl.data_done,
+        tl.completed,
+    ]
+}
+
+/// The record of one descriptor the device executed: a job, or a member
+/// of a batch that started at `start`.
+fn exec_record(
+    kind: RecordKind,
+    (device, wq): (usize, usize),
+    desc: &Descriptor,
+    exec: &Execution,
+    start: SimTime,
+    rt: &DsaRuntime,
+) -> JobRecord {
+    JobRecord {
+        kind,
+        device: device as u16,
+        wq: wq as u16,
+        pe: exec.pe,
+        tenant: None,
+        seq: exec.seq,
+        op: desc.opcode.mnemonic(),
+        xfer_size: desc.xfer_size,
+        alloc: SimDuration::ZERO,
+        prepare: SimDuration::ZERO,
+        requested: start,
+        marks: marks(start, rt, &exec.timeline),
+        wq_depth: exec.wq_depth,
+        engines_busy: exec.engines_busy,
+        engines: exec.engines,
     }
 }
 
@@ -648,13 +680,16 @@ impl Batch {
             let (dev, memory, memsys) = rt.parts(self.device);
             match dev.submit_batch(memory, memsys, WqId(self.wq), &batch, &self.descs, now) {
                 Ok(exec) => break exec,
-                Err(SubmitError::WqFull { retry_at }) => rt.advance_to(retry_at),
+                Err(SubmitError::WqFull { retry_at }) => {
+                    note_wq_full(rt, self.device, self.wq);
+                    rt.advance_to(retry_at);
+                }
                 Err(e) => return Err(e.into()),
             }
         };
-        self.note_batch_trace(rt, job_start, &exec);
+        self.note_batch(rt, job_start, &exec);
         Ok(BatchHandle {
-            records: exec.records,
+            records: exec.members.iter().map(|m| m.record).collect(),
             batch_record: exec.batch_record,
             member_done: exec.timeline.data_done,
             completed: exec.completed,
@@ -680,26 +715,33 @@ impl Batch {
         })
     }
 
-    /// Records the batch's attributed critical path, one trace for the
+    /// Writes the batch's record, then one per member. The batch record
+    /// carries the descriptor-list fetch and one critical path for the
     /// whole batch (its timeline is batch-granular: member fetches count
     /// as PE-side work, member data movement as the memory hop).
-    fn note_batch_trace(
-        &self,
-        rt: &DsaRuntime,
-        job_start: SimTime,
-        exec: &dsa_device::device::BatchExecution,
-    ) {
-        if let Some(hub) = rt.hub() {
-            let tl = &exec.timeline;
-            let bytes: u64 = self.descs.iter().map(|d| u64::from(d.xfer_size)).sum();
-            hub.record_job_trace(JobTrace::from_boundaries(
-                hub.next_trace_id(),
-                self.device as u16,
-                self.wq as u16,
-                "batch",
-                u32::try_from(bytes).unwrap_or(u32::MAX),
-                [job_start, tl.admitted, tl.dispatched, tl.translated, tl.data_done, tl.completed],
-            ));
+    fn note_batch(&self, rt: &DsaRuntime, job_start: SimTime, exec: &BatchExecution) {
+        let Some(hub) = rt.hub() else { return };
+        let bytes: u64 = self.descs.iter().map(|d| u64::from(d.xfer_size)).sum();
+        hub.record(JobRecord {
+            kind: RecordKind::Batch,
+            device: self.device as u16,
+            wq: self.wq as u16,
+            pe: 0,
+            tenant: None,
+            seq: 0,
+            op: "batch",
+            xfer_size: u32::try_from(bytes).unwrap_or(u32::MAX),
+            alloc: SimDuration::ZERO,
+            prepare: SimDuration::ZERO,
+            requested: job_start,
+            marks: marks(job_start, rt, &exec.timeline),
+            wq_depth: 0,
+            engines_busy: SimDuration::ZERO,
+            engines: 0,
+        });
+        for (desc, m) in self.descs.iter().zip(&exec.members) {
+            let target = (self.device, self.wq);
+            hub.record(exec_record(RecordKind::Member, target, desc, m, job_start, rt));
         }
     }
 }

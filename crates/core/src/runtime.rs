@@ -135,13 +135,11 @@ impl DsaRuntime {
         &self.swcost
     }
 
-    /// Attaches a telemetry hub: every device emits descriptor lifecycle
-    /// spans and metrics into it, and the job layer stitches job-level
-    /// spans (prepare/submit/wait) on top.
+    /// Attaches a telemetry hub: the job layer writes one record per job
+    /// into it (descriptor lifecycle, job phases and critical path are
+    /// derived from that record), plus a wait span per awaited job.
+    /// Devices hold no hub.
     pub fn attach_hub(&mut self, hub: Hub) {
-        for d in &mut self.devices {
-            d.attach_hub(hub.clone());
-        }
         self.hub = Some(hub);
     }
 
@@ -207,18 +205,14 @@ impl DsaRuntime {
     /// path: a fresh device with empty WQs, as after a real drain +
     /// re-enable cycle. In-flight work must already be accounted for by
     /// the caller (the service layer quiesces to a barrier first). The
-    /// attached hub, if any, carries over.
+    /// runtime's hub, if any, keeps recording the new device's jobs.
     ///
     /// # Panics
     ///
     /// Panics if `i` is out of range.
     pub fn replace_device(&mut self, i: usize, config: DeviceConfig) {
         assert!(i < self.devices.len(), "no device {i}");
-        let mut d = DsaDevice::new(i as u16, config, &self.platform);
-        if let Some(hub) = &self.hub {
-            d.attach_hub(hub.clone());
-        }
-        self.devices[i] = d;
+        self.devices[i] = DsaDevice::new(i as u16, config, &self.platform);
     }
 
     /// Destructured mutable access for submission paths that need the

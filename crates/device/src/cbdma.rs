@@ -17,7 +17,6 @@ use dsa_mem::memory::Memory;
 use dsa_mem::memsys::{AgentId, MemSystem, WritePolicy};
 use dsa_sim::time::{transfer_time_mgbps, SimDuration, SimTime};
 use dsa_sim::timeline::{BwResource, Timeline};
-use dsa_telemetry::{Hub, JobTrace, Labels, Track};
 
 /// Errors from CBDMA usage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,7 +68,6 @@ pub struct CbdmaDevice {
     channels: Vec<Timeline>,
     fabric: BwResource,
     pinned: Vec<(u64, u64)>,
-    hub: Option<Hub>,
 }
 
 impl CbdmaDevice {
@@ -86,14 +84,7 @@ impl CbdmaDevice {
             channels: (0..channels).map(|_| Timeline::new()).collect(),
             fabric: BwResource::new(timing.fabric_mgbps),
             pinned: Vec::new(),
-            hub: None,
         }
-    }
-
-    /// Attaches a telemetry hub; completed copies emit pipeline spans
-    /// (doorbell → ring fetch → read → write → completion) into it.
-    pub fn attach_hub(&mut self, hub: Hub) {
-        self.hub = Some(hub);
     }
 
     /// Device id.
@@ -141,8 +132,7 @@ impl CbdmaDevice {
         if channel >= self.channels.len() {
             return Err(CbdmaError::UnknownChannel { channel });
         }
-        for (addr, what) in [(src, "src"), (dst, "dst")] {
-            let _ = what;
+        for addr in [src, dst] {
             if !self.is_pinned(addr, len) {
                 return Err(CbdmaError::NotPinned { addr });
             }
@@ -164,31 +154,6 @@ impl CbdmaDevice {
         let mw = memsys.write(agent, dst_loc, arrived, len, WritePolicy::Memory);
         let data_done = fw.end.max(mw.interval.end).max(chan.end);
         let completed = data_done + self.timing.completion + memsys.platform().llc_latency;
-        if let Some(hub) = &self.hub {
-            let track = Track::CbdmaChan { device: self.id, chan: channel as u16 };
-            hub.span(track, "doorbell", now, submitted);
-            hub.span(track, "ring_fetch", submitted, fetch_done);
-            hub.span(track, "wait", fetch_done, chan.start);
-            hub.span(track, "read", chan.start, arrived);
-            hub.span(track, "write", arrived, data_done);
-            hub.span(track, "complete", data_done, completed);
-            let labels = Labels::wq(self.id, channel as u16);
-            hub.counter_add("cbdma_copies", labels, 1);
-            hub.counter_add("cbdma_bytes", labels, len);
-            hub.observe("cbdma_latency", labels, completed - submitted);
-            // Critical path: doorbell + ring fetch count as software prep,
-            // and there is no translation segment — CBDMA requires pinned
-            // pages, so PeService is structurally zero (the §2 contrast
-            // with DSA's SVM).
-            hub.record_job_trace(JobTrace::from_boundaries(
-                hub.next_trace_id(),
-                self.id,
-                channel as u16,
-                "cbdma_copy",
-                u32::try_from(len).unwrap_or(u32::MAX),
-                [now, fetch_done, chan.start, chan.start, data_done, completed],
-            ));
-        }
         Ok(CbdmaExecution { submitted, completed })
     }
 

@@ -26,7 +26,6 @@ use dsa_mem::translate::TranslationCache;
 use dsa_ops::{crc32::Crc32c, delta, dif, memops};
 use dsa_sim::time::{scale_bytes, transfer_time_mgbps, SimDuration, SimTime};
 use dsa_sim::timeline::{BwResource, MultiServer, SlidingWindow};
-use dsa_telemetry::{DescriptorSpan, Hub, Labels, Track};
 
 /// Identifies a WQ within one device.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -125,13 +124,26 @@ pub struct Execution {
     pub record: CompletionRecord,
     /// Phase timestamps.
     pub timeline: ExecTimeline,
+    /// Device-wide sequence number: descriptors processed so far,
+    /// this one included.
+    pub seq: u64,
+    /// Processing engine credited with the work. The group's engines are
+    /// indistinguishable (earliest-free wins), so work is credited
+    /// round-robin by sequence number.
+    pub pe: u16,
+    /// Descriptors the WQ held at admission (FIFO view of its slots).
+    pub wq_depth: u32,
+    /// Cumulative busy time of the group's engines at completion.
+    pub engines_busy: SimDuration,
+    /// Engines in the group.
+    pub engines: u16,
 }
 
 /// Result of an accepted batch.
 #[derive(Clone, Debug)]
 pub struct BatchExecution {
-    /// Per-descriptor completion records, in submission order.
-    pub records: Vec<CompletionRecord>,
+    /// Per-descriptor executions, in submission order.
+    pub members: Vec<Execution>,
     /// The batch-granular completion record.
     pub batch_record: CompletionRecord,
     /// When the batch completion record became visible.
@@ -196,7 +208,6 @@ pub struct DsaDevice {
     atc: TranslationCache,
     telemetry: Telemetry,
     last_completion: SimTime,
-    hub: Option<Hub>,
 }
 
 /// Chunk size for the intra-descriptor read→write pipeline.
@@ -275,19 +286,7 @@ impl DsaDevice {
             atc: TranslationCache::new(128, platform.iommu_walk),
             telemetry: Telemetry::default(),
             last_completion: SimTime::ZERO,
-            hub: None,
         })
-    }
-
-    /// Attaches a telemetry hub; every descriptor processed from now on
-    /// emits a lifecycle span plus per-WQ/per-PE metrics into it.
-    pub fn attach_hub(&mut self, hub: Hub) {
-        self.hub = Some(hub);
-    }
-
-    /// The attached telemetry hub, if any.
-    pub fn hub(&self) -> Option<&Hub> {
-        self.hub.as_ref()
     }
 
     /// Device instance id.
@@ -361,9 +360,6 @@ impl DsaDevice {
     fn record_wq_full(&mut self, wq: WqId) {
         self.wqs[wq.0].full_rejections += 1;
         self.telemetry.wq_rejections += 1;
-        if let Some(hub) = &self.hub {
-            hub.counter_add("wq_full", Labels::wq(self.id, wq.0 as u16), 1);
-        }
     }
 
     /// Descriptors still in flight across all WQs at `now`.
@@ -504,20 +500,10 @@ impl DsaDevice {
         );
         self.telemetry.batches += 1;
         self.telemetry.bytes_read += 64 * descs.len() as u64;
-        if let Some(hub) = &self.hub {
-            hub.span(
-                Track::Wq { device: self.id, wq: wq.0 as u16 },
-                "batch_fetch",
-                admitted,
-                fetch.end,
-            );
-            hub.counter_add("batches", Labels::wq(self.id, wq.0 as u16), 1);
-        }
 
         // Sub-descriptors dispatch across the group's engines; a FENCE flag
         // orders a descriptor after all prior completions in the batch.
-        let mut records = Vec::with_capacity(descs.len());
-        let mut last_done = fetch.end;
+        let mut members = Vec::with_capacity(descs.len());
         let mut max_done = fetch.end;
         let mut all_ok = true;
         let mut completed_count = 0u32;
@@ -525,15 +511,13 @@ impl DsaDevice {
             let ready = if d.flags.contains(Flags::FENCE) { max_done } else { fetch.end };
             let exec = self.process(memory, memsys, wq, d, ready, ready);
             max_done = max_done.max(exec.timeline.data_done);
-            last_done = exec.timeline.data_done;
             if exec.record.status.is_ok() {
                 completed_count += 1;
             } else {
                 all_ok = false;
             }
-            records.push(exec.record);
+            members.push(exec);
         }
-        let _ = last_done;
         let completed = max_done + self.timing.completion_write + memsys.platform().llc_latency;
         self.wqs[wq.0].window.release(max_done);
         self.last_completion = self.last_completion.max(completed);
@@ -543,7 +527,7 @@ impl DsaDevice {
             result: descs.len() as u64,
         };
         Ok(BatchExecution {
-            records,
+            members,
             batch_record,
             completed,
             timeline: ExecTimeline {
@@ -597,6 +581,7 @@ impl DsaDevice {
             / (desc.xfer_size as u64).max(1);
         let pe_busy = self.timing.pe_fixed
             + transfer_time_mgbps(bytes_read.max(bytes_written), self.timing.pe_mgbps);
+        let engines = self.groups[group_idx].engines.servers();
         let pe = self.groups[group_idx].engines.reserve(arb_ready, pe_busy);
         let dispatched = pe.start;
 
@@ -698,35 +683,6 @@ impl DsaDevice {
         if desc.completion_addr != 0 && desc.flags.contains(Flags::REQUEST_COMPLETION) {
             let _ = memory.write(desc.completion_addr, &outcome.record.to_bytes());
         }
-        if let Some(hub) = &self.hub {
-            let servers = self.groups[group_idx].engines.servers();
-            // The engine pool is indistinguishable (earliest-free wins),
-            // so attribute work round-robin for per-PE metrics.
-            let pe_idx = ((self.telemetry.descriptors - 1) % servers as u64) as u16;
-            hub.record_descriptor(DescriptorSpan {
-                device: self.id,
-                wq: wq.0 as u16,
-                pe: pe_idx,
-                seq: self.telemetry.descriptors,
-                op: desc.opcode.mnemonic(),
-                xfer_size: desc.xfer_size,
-                marks: [
-                    submitted, admitted, dispatched, translated, read_done, data_done, completed,
-                ],
-            });
-            // Utilization timelines: WQ depth at admission (FIFO view of
-            // tracked holders) and the group's cumulative PE occupancy.
-            hub.series_push(
-                "wq_depth",
-                Labels::wq(self.id, wq.0 as u16),
-                admitted,
-                self.wqs[wq.0].window.in_flight() as f64,
-            );
-            let busy = self.groups[group_idx].engines.busy_time();
-            let util = busy.as_ns_f64() / (servers as f64 * completed.as_ns_f64()).max(1.0);
-            hub.series_push("pe_occupancy", Labels::device(self.id), completed, util.min(1.0));
-        }
-
         Execution {
             record: outcome.record,
             timeline: ExecTimeline {
@@ -738,6 +694,11 @@ impl DsaDevice {
                 data_done,
                 completed,
             },
+            seq: self.telemetry.descriptors,
+            pe: ((self.telemetry.descriptors - 1) % engines as u64) as u16,
+            wq_depth: self.wqs[wq.0].window.in_flight() as u32,
+            engines_busy: self.groups[group_idx].engines.busy_time(),
+            engines: engines as u16,
         }
     }
 
@@ -1370,8 +1331,8 @@ mod tests {
             .dev
             .submit_batch(&mut rig.memory, &mut rig.memsys, WqId(0), &batch, &descs, SimTime::ZERO)
             .unwrap();
-        assert_eq!(exec.records.len(), n);
-        assert!(exec.records.iter().all(|r| r.status == Status::Success));
+        assert_eq!(exec.members.len(), n);
+        assert!(exec.members.iter().all(|m| m.record.status == Status::Success));
         assert_eq!(exec.batch_record.status, Status::Success);
         assert_eq!(exec.batch_record.bytes_completed, n as u32);
         assert_eq!(rig.dev.telemetry().batches, 1);
@@ -1636,7 +1597,7 @@ mod drain_tests {
                 SimTime::ZERO,
             )
             .unwrap();
-        assert!(exec.records.iter().all(|r| r.status == Status::Success));
+        assert!(exec.members.iter().all(|m| m.record.status == Status::Success));
         assert!(memory.read(c.addr(), 256 << 10).unwrap().iter().all(|&x| x == 7));
     }
 

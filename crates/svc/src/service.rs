@@ -33,7 +33,7 @@ use dsa_mem::topology::Platform;
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::stats::jain_fairness;
 use dsa_sim::time::{SimDuration, SimTime};
-use dsa_telemetry::Hub;
+use dsa_telemetry::{Hub, StepContext};
 use std::fmt;
 
 /// Exponential-backoff cap: base backoff never grows beyond 64×.
@@ -599,10 +599,12 @@ impl DsaService {
         let _ = t.bucket.try_acquire(start); // a token is banked at `start` by construction
 
         rt.set_now(start);
-        // Tenant context for causal tracing: job traces recorded below the
-        // service layer get attributed to this tenant's profile cell.
+        // Step context for causal tracing: the job recorded below the
+        // service layer lands in this tenant's profile cell, and its
+        // critical path starts at `start`, so rejected attempts and their
+        // backoff count as software prep.
         if let Some(hub) = rt.hub() {
-            hub.set_tenant(Some(i as u16));
+            hub.set_step(Some(StepContext { tenant: i as u16, start }));
         }
         let mut attempts: u32 = 0;
         let submitted = loop {
@@ -627,6 +629,9 @@ impl DsaService {
                 Err(e) => break Err(e),
             }
         };
+        if let Some(hub) = rt.hub() {
+            hub.set_step(None);
+        }
 
         match submitted {
             Ok(h) => {

@@ -37,7 +37,6 @@ fn track_pid_tid(track: Track, workloads: &mut Vec<&'static str>) -> (u64, u64) 
     match track {
         Track::Job => (1, 0),
         Track::Wq { device, wq } => (100 + device as u64, wq as u64),
-        Track::CbdmaChan { device, chan } => (200 + device as u64, chan as u64),
         Track::Workload(name) => {
             let idx = match workloads.iter().position(|w| *w == name) {
                 Some(i) => i,
@@ -73,8 +72,8 @@ pub fn chrome_trace_json(hub: &Hub) -> String {
         let mut first = true;
         let mut workloads: Vec<&'static str> = Vec::new();
         let mut seen_tracks: Vec<(Track, u64, u64)> = Vec::new();
-        let mut note = |track: Track, workloads: &mut Vec<&'static str>| {
-            let (pid, tid) = track_pid_tid(track, workloads);
+        let mut note = |track: Track| {
+            let (pid, tid) = track_pid_tid(track, &mut workloads);
             if !seen_tracks.iter().any(|(t, _, _)| *t == track) {
                 seen_tracks.push((track, pid, tid));
             }
@@ -82,44 +81,41 @@ pub fn chrome_trace_json(hub: &Hub) -> String {
         };
 
         for e in events {
-            match e {
-                Event::Descriptor(d) => {
-                    let (pid, tid) =
-                        note(Track::Wq { device: d.device, wq: d.wq }, &mut workloads);
-                    for p in Phase::ALL {
-                        let (start, end) = d.phase_bounds(p);
-                        let line = format!(
-                            r#"{{"name":"{}","cat":"descriptor","ph":"X","pid":{pid},"tid":{tid},"ts":{:.3},"dur":{:.3},"args":{{"seq":{},"op":"{}","xfer":{},"pe":{}}}}}"#,
-                            json_escape(p.name()),
-                            ts_us(start),
-                            (end - start).as_ns_f64() / 1000.0,
-                            d.seq,
-                            json_escape(d.op),
-                            d.xfer_size,
-                            d.pe,
-                        );
-                        push_event(&mut out, &line, &mut first);
-                    }
-                }
-                Event::Span(s) => {
-                    let (pid, tid) = note(s.track, &mut workloads);
+            if let Some(d) = e.descriptor() {
+                let (pid, tid) = note(Track::Wq { device: d.device, wq: d.wq });
+                for p in Phase::ALL {
+                    let (start, end) = d.phase_bounds(p);
                     let line = format!(
-                        r#"{{"name":"{}","cat":"span","ph":"X","pid":{pid},"tid":{tid},"ts":{:.3},"dur":{:.3}}}"#,
-                        json_escape(s.name),
-                        ts_us(s.start),
-                        (s.end - s.start).as_ns_f64() / 1000.0,
+                        r#"{{"name":"{}","cat":"descriptor","ph":"X","pid":{pid},"tid":{tid},"ts":{:.3},"dur":{:.3},"args":{{"seq":{},"op":"{}","xfer":{},"pe":{}}}}}"#,
+                        json_escape(p.name()),
+                        ts_us(start),
+                        (end - start).as_ns_f64() / 1000.0,
+                        d.seq,
+                        json_escape(d.op),
+                        d.xfer_size,
+                        d.pe,
                     );
                     push_event(&mut out, &line, &mut first);
                 }
-                Event::Instant { track, name, at } => {
-                    let (pid, tid) = note(*track, &mut workloads);
-                    let line = format!(
-                        r#"{{"name":"{}","cat":"marker","ph":"i","s":"t","pid":{pid},"tid":{tid},"ts":{:.3}}}"#,
-                        json_escape(name),
-                        ts_us(*at),
-                    );
-                    push_event(&mut out, &line, &mut first);
-                }
+            }
+            for s in e.spans() {
+                let (pid, tid) = note(s.track);
+                let line = format!(
+                    r#"{{"name":"{}","cat":"span","ph":"X","pid":{pid},"tid":{tid},"ts":{:.3},"dur":{:.3}}}"#,
+                    json_escape(s.name),
+                    ts_us(s.start),
+                    (s.end - s.start).as_ns_f64() / 1000.0,
+                );
+                push_event(&mut out, &line, &mut first);
+            }
+            if let Event::Instant { track, name, at } = e {
+                let (pid, tid) = note(*track);
+                let line = format!(
+                    r#"{{"name":"{}","cat":"marker","ph":"i","s":"t","pid":{pid},"tid":{tid},"ts":{:.3}}}"#,
+                    json_escape(name),
+                    ts_us(*at),
+                );
+                push_event(&mut out, &line, &mut first);
             }
         }
 
@@ -129,9 +125,6 @@ pub fn chrome_trace_json(hub: &Hub) -> String {
             let (pname, tname) = match track {
                 Track::Job => ("software".to_string(), "jobs".to_string()),
                 Track::Wq { device, wq } => (format!("dsa{device}"), format!("wq{wq}")),
-                Track::CbdmaChan { device, chan } => {
-                    (format!("cbdma{device}"), format!("chan{chan}"))
-                }
                 Track::Workload(name) => ("workloads".to_string(), (*name).to_string()),
             };
             let line = format!(
@@ -291,23 +284,20 @@ pub fn metrics_csv(hub: &Hub) -> String {
 /// latency percentiles, the way `pcm` prints per-socket DSA tables.
 pub fn pcm_dashboard(hub: &Hub) -> String {
     hub.with_events(|events| {
-        // Wall-clock window covered by the trace.
-        let mut t0 = SimTime::ZERO;
-        let mut t1 = SimTime::ZERO;
-        let mut any = false;
+        // Simulated-time window covered by the trace.
+        let mut window: Option<(SimTime, SimTime)> = None;
         for e in events {
-            let (s, en) = match e {
-                Event::Descriptor(d) => (d.marks[0], d.marks[6]),
-                Event::Span(s) => (s.start, s.end),
-                Event::Instant { at, .. } => (*at, *at),
+            let instant = match e {
+                Event::Instant { at, .. } => Some((*at, *at)),
+                _ => None,
             };
-            if !any {
-                t0 = s;
-                any = true;
+            let descriptor = e.descriptor().map(|d| (d.marks[0], d.marks[6]));
+            let spans = e.spans().map(|s| (s.start, s.end));
+            for (s, en) in descriptor.into_iter().chain(spans).chain(instant) {
+                window = Some(window.map_or((s, en), |(t0, t1)| (t0.min(s), t1.max(en))));
             }
-            t0 = t0.min(s);
-            t1 = t1.max(en);
         }
+        let (t0, t1) = window.unwrap_or_default();
         let elapsed = (t1 - t0).as_ns_f64().max(1.0);
 
         hub.with_metrics(|metrics| {
@@ -393,20 +383,14 @@ pub fn pcm_dashboard(hub: &Hub) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::DescriptorSpan;
+    use crate::hub::StepContext;
+    use crate::record::tests::record;
+    use crate::record::RecordKind;
     use dsa_sim::time::SimTime;
 
     fn hub_with_one_descriptor() -> Hub {
         let hub = Hub::new();
-        hub.record_descriptor(DescriptorSpan {
-            device: 0,
-            wq: 2,
-            pe: 1,
-            seq: 7,
-            op: "memmove",
-            xfer_size: 4096,
-            marks: [100, 140, 200, 230, 700, 900, 955].map(SimTime::from_ns),
-        });
+        hub.record(record(RecordKind::Job, 2, [60, 100, 100, 200, 230, 700, 900, 955]));
         hub
     }
 
@@ -471,23 +455,9 @@ mod tests {
 
     fn hub_with_traces() -> Hub {
         let hub = Hub::new();
-        hub.record_job_trace(crate::causal::JobTrace::from_boundaries(
-            hub.next_trace_id(),
-            0,
-            2,
-            "memcpy",
-            4096,
-            [100, 140, 200, 230, 900, 955].map(SimTime::from_ns),
-        ));
-        hub.set_tenant(Some(1));
-        hub.record_job_trace(crate::causal::JobTrace::from_boundaries(
-            hub.next_trace_id(),
-            0,
-            3,
-            "memcpy",
-            4096,
-            [1000, 1040, 1100, 1130, 1800, 1855].map(SimTime::from_ns),
-        ));
+        hub.record(record(RecordKind::Job, 2, [100, 130, 140, 200, 230, 700, 900, 955]));
+        hub.set_step(Some(StepContext { tenant: 1, start: SimTime::from_ns(1000) }));
+        hub.record(record(RecordKind::Job, 3, [1000, 1030, 1040, 1100, 1130, 1500, 1800, 1855]));
         hub
     }
 
@@ -518,8 +488,8 @@ mod tests {
         let hub = hub_with_traces();
         let folded = folded_stacks(&hub);
         // 670 ns memory hop on the untenanted trace.
-        assert!(folded.contains("untenanted;dsa0/wq2;memcpy;memory_hop 670000"), "got:\n{folded}");
-        assert!(folded.contains("tenant1;dsa0/wq3;memcpy;software_prep 40000"));
+        assert!(folded.contains("untenanted;dsa0/wq2;memmove;memory_hop 670000"), "got:\n{folded}");
+        assert!(folded.contains("tenant1;dsa0/wq3;memmove;software_prep 40000"));
         // Every line is "stack weight".
         for line in folded.lines() {
             let mut parts = line.rsplitn(2, ' ');
@@ -554,7 +524,6 @@ mod tests {
     #[test]
     fn dashboard_lists_each_wq_once() {
         let hub = hub_with_one_descriptor();
-        hub.series_push("wq_depth", Labels::wq(0, 2), SimTime::from_ns(100), 1.0);
         let text = pcm_dashboard(&hub);
         assert!(text.contains("DSA telemetry dashboard"));
         assert_eq!(text.matches("4096").count(), 1, "one row for wq2: {text}");

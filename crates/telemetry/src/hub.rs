@@ -2,20 +2,29 @@
 
 use crate::causal::{CritPathProfile, JobTrace};
 use crate::metrics::{Labels, Metrics};
-use crate::span::{DescriptorSpan, Event, Phase, Span, Track};
+use crate::record::JobRecord;
+use crate::span::{DescriptorSpan, Event, Span, Track};
 use dsa_sim::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// The service step a job is submitted under.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepContext {
+    /// The stepping tenant.
+    pub tenant: u16,
+    /// When the step began: the job's critical path starts here, so
+    /// rejected attempts and their backoff count as software prep.
+    pub start: SimTime,
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     events: Vec<Event>,
+    // Metrics recorded directly (counters and histograms no job record
+    // carries); the standard per-job metrics are derived on read.
     metrics: Metrics,
-    traces: Vec<JobTrace>,
-    // Tenant context stamped onto traces recorded without one (set by the
-    // service layer around each tenant step).
-    tenant: Option<u16>,
-    next_trace_id: u64,
+    step: Option<StepContext>,
 }
 
 /// A shared tracing + metrics sink.
@@ -23,6 +32,10 @@ struct Inner {
 /// Cloning is cheap (one `Rc`); all clones feed the same buffers. The
 /// simulation is single-threaded, so interior mutability via `RefCell`
 /// is sufficient and keeps recording calls `&self`.
+///
+/// The log holds one [`JobRecord`] per job next to generic spans and
+/// markers. Descriptor lifecycles, job-track spans, the standard metrics
+/// and critical paths are derived from the records when read.
 #[derive(Clone, Debug, Default)]
 pub struct Hub {
     inner: Rc<RefCell<Inner>>,
@@ -34,21 +47,15 @@ impl Hub {
         Hub::default()
     }
 
-    /// Records a full descriptor lifecycle and derives the standard
-    /// metrics from it: per-WQ and per-PE completion-latency histograms,
-    /// per-phase histograms, and byte/descriptor counters.
-    pub fn record_descriptor(&self, d: DescriptorSpan) {
+    /// Appends one job's record. Inside a service step (see
+    /// [`set_step`](Self::set_step)) the record takes the step's tenant
+    /// and starts its critical path at the step's start.
+    pub fn record(&self, mut r: JobRecord) {
         let mut inner = self.inner.borrow_mut();
-        let wq = Labels::wq(d.device, d.wq);
-        let pe = Labels::pe(d.device, d.pe);
-        inner.metrics.counter_add("descriptors", wq, 1);
-        inner.metrics.counter_add("bytes", wq, d.xfer_size as u64);
-        inner.metrics.observe("descriptor_latency", wq, d.total());
-        inner.metrics.observe("descriptor_latency", pe, d.total());
-        for p in Phase::ALL {
-            inner.metrics.observe(p.metric(), wq, d.phase_duration(p));
+        if let Some(step) = inner.step {
+            r.tenant = Some(step.tenant);
         }
-        inner.events.push(Event::Descriptor(d));
+        inner.events.push(Event::Job(r));
     }
 
     /// Records a generic named span.
@@ -71,37 +78,25 @@ impl Hub {
         self.inner.borrow_mut().metrics.observe(name, labels, d);
     }
 
-    /// Appends a utilization time-series point.
-    pub fn series_push(&self, name: &'static str, labels: Labels, at: SimTime, v: f64) {
-        self.inner.borrow_mut().metrics.series_push(name, labels, at, v);
-    }
-
     /// Histogram percentile under a key (`None` if absent or empty).
     pub fn percentile(&self, name: &'static str, labels: Labels, p: f64) -> Option<SimDuration> {
-        self.inner.borrow().metrics.percentile(name, labels, p)
+        self.with_metrics(|m| m.percentile(name, labels, p))
     }
 
     /// Current counter value.
     pub fn counter(&self, name: &'static str, labels: Labels) -> u64 {
-        self.inner.borrow().metrics.counter(name, labels)
+        self.with_metrics(|m| m.counter(name, labels))
     }
 
-    /// Number of recorded trace events.
+    /// Number of entries in the log: job records plus generic spans and
+    /// markers.
     pub fn event_count(&self) -> usize {
         self.inner.borrow().events.len()
     }
 
-    /// Snapshot of every recorded descriptor lifecycle, oldest first.
+    /// Every recorded descriptor lifecycle, oldest first.
     pub fn descriptor_spans(&self) -> Vec<DescriptorSpan> {
-        self.inner
-            .borrow()
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::Descriptor(d) => Some(*d),
-                _ => None,
-            })
-            .collect()
+        self.with_records(|records| records.filter_map(JobRecord::descriptor).collect())
     }
 
     /// Runs `f` over the raw event log (cheaper than cloning it).
@@ -109,52 +104,49 @@ impl Hub {
         f(&self.inner.borrow().events)
     }
 
-    /// Runs `f` over the metrics registry.
+    fn with_records<R>(&self, f: impl FnOnce(&mut dyn Iterator<Item = &JobRecord>) -> R) -> R {
+        self.with_events(|events| {
+            f(&mut events.iter().filter_map(|e| match e {
+                Event::Job(r) => Some(r),
+                _ => None,
+            }))
+        })
+    }
+
+    /// Runs `f` over the metrics registry: the directly recorded metrics
+    /// plus the standard ones derived from every job record.
     pub fn with_metrics<R>(&self, f: impl FnOnce(&Metrics) -> R) -> R {
-        f(&self.inner.borrow().metrics)
+        let mut metrics = self.inner.borrow().metrics.clone();
+        self.with_records(|records| records.for_each(|r| r.add_to(&mut metrics)));
+        f(&metrics)
     }
 
-    /// Hands out the next deterministic trace ID (1-based, insertion
-    /// order — no wall clock, so replays mint identical IDs).
-    pub fn next_trace_id(&self) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        inner.next_trace_id += 1;
-        inner.next_trace_id
+    /// Sets (or, with `None`, clears) the service step that records
+    /// written from now on belong to. The service layer brackets each
+    /// tenant step with this, so the job layer stays tenant-agnostic.
+    pub fn set_step(&self, step: Option<StepContext>) {
+        self.inner.borrow_mut().step = step;
     }
 
-    /// Sets the tenant context stamped onto subsequently recorded job
-    /// traces that carry no tenant of their own. The service layer brackets
-    /// each tenant step with this so device-layer recording stays
-    /// tenant-agnostic.
-    pub fn set_tenant(&self, tenant: Option<u16>) {
-        self.inner.borrow_mut().tenant = tenant;
-    }
-
-    /// Records one job's attributed critical path. A trace without a
-    /// tenant inherits the current tenant context.
-    pub fn record_job_trace(&self, trace: JobTrace) {
-        let mut inner = self.inner.borrow_mut();
-        let tenant = inner.tenant;
-        inner.traces.push(if trace.tenant.is_none() { trace.with_tenant(tenant) } else { trace });
-    }
-
-    /// Snapshot of every recorded job trace, oldest first.
+    /// Every job's attributed critical path, oldest first. Trace IDs are
+    /// 1-based in insertion order, so replays mint identical IDs.
     pub fn job_traces(&self) -> Vec<JobTrace> {
-        self.inner.borrow().traces.clone()
+        self.with_records(|records| {
+            records.filter(|r| r.is_traced()).zip(1..).filter_map(|(r, id)| r.trace(id)).collect()
+        })
     }
 
-    /// Number of recorded job traces.
+    /// Number of jobs with a critical path.
     pub fn trace_count(&self) -> usize {
-        self.inner.borrow().traces.len()
+        self.with_records(|records| records.filter(|r| r.is_traced()).count())
     }
 
-    /// Aggregates every recorded job trace into a per-(tenant, device,
-    /// WQ) critical-path profile.
+    /// Aggregates every job's critical path into a per-(tenant, device,
+    /// WQ) profile.
     pub fn critpath_profile(&self) -> CritPathProfile {
-        let inner = self.inner.borrow();
         let mut profile = CritPathProfile::new();
-        for trace in &inner.traces {
-            profile.record(trace);
+        for trace in self.job_traces() {
+            profile.record(&trace);
         }
         profile
     }
@@ -163,84 +155,68 @@ impl Hub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::record;
+    use crate::record::RecordKind;
+    use crate::span::Phase;
 
-    fn sample_descriptor(seq: u64, wq: u16) -> DescriptorSpan {
-        DescriptorSpan {
-            device: 0,
-            wq,
-            pe: 1,
-            seq,
-            op: "memmove",
-            xfer_size: 4096,
-            marks: [100, 140, 200, 230, 700, 900, 955].map(SimTime::from_ns),
-        }
-    }
+    const MARKS: [u64; 8] = [60, 100, 100, 200, 230, 700, 900, 955];
 
     #[test]
     fn clones_share_the_sink() {
         let hub = Hub::new();
         let clone = hub.clone();
-        clone.record_descriptor(sample_descriptor(1, 0));
+        clone.record(record(RecordKind::Job, 0, MARKS));
         hub.span(Track::Job, "job", SimTime::from_ns(0), SimTime::from_ns(10));
         assert_eq!(hub.event_count(), 2);
         assert_eq!(clone.event_count(), 2);
     }
 
     #[test]
-    fn descriptor_feeds_standard_metrics() {
+    fn records_feed_standard_metrics() {
         let hub = Hub::new();
-        for seq in 0..10 {
-            hub.record_descriptor(sample_descriptor(seq, 0));
+        for _ in 0..10 {
+            hub.record(record(RecordKind::Job, 0, MARKS));
         }
-        hub.record_descriptor(sample_descriptor(10, 3));
+        hub.record(record(RecordKind::Job, 3, MARKS));
+        hub.counter_add("wq_full", Labels::wq(0, 0), 2);
         assert_eq!(hub.counter("descriptors", Labels::wq(0, 0)), 10);
         assert_eq!(hub.counter("descriptors", Labels::wq(0, 3)), 1);
+        assert_eq!(hub.counter("jobs", Labels::wq(0, 0)), 10);
         assert_eq!(hub.counter("bytes", Labels::wq(0, 0)), 10 * 4096);
+        assert_eq!(hub.counter("wq_full", Labels::wq(0, 0)), 2, "direct counters survive");
         let p99 = hub.percentile("descriptor_latency", Labels::wq(0, 0), 99.0).unwrap();
         assert!(p99 >= SimDuration::from_ns(800), "855ns total, got {p99:?}");
         // Per-PE view exists too.
         assert!(hub.percentile("descriptor_latency", Labels::pe(0, 1), 50.0).is_some());
-        // Every phase histogram recorded.
         hub.with_metrics(|m| {
             for p in Phase::ALL {
                 assert_eq!(m.histogram(p.metric(), Labels::wq(0, 0)).unwrap().count(), 10);
             }
+            assert_eq!(m.series("wq_depth", Labels::wq(0, 0)).unwrap().len(), 10);
+            assert_eq!(m.series("pe_occupancy", Labels::device(0)).unwrap().len(), 11);
         });
     }
 
-    fn sample_trace(hub: &Hub) -> crate::causal::JobTrace {
-        crate::causal::JobTrace::from_boundaries(
-            hub.next_trace_id(),
-            0,
-            0,
-            "memcpy",
-            4096,
-            [100, 140, 200, 230, 900, 955].map(SimTime::from_ns),
-        )
-    }
-
     #[test]
-    fn trace_ids_are_deterministic_and_tenant_context_sticks() {
+    fn trace_ids_count_traced_records_and_the_step_context_is_scoped() {
         let hub = Hub::new();
-        assert_eq!(hub.next_trace_id(), 1);
-        assert_eq!(hub.next_trace_id(), 2);
-
-        hub.record_job_trace(sample_trace(&hub));
-        hub.set_tenant(Some(7));
-        hub.record_job_trace(sample_trace(&hub));
-        // An explicit tenant wins over the context.
-        hub.record_job_trace(sample_trace(&hub).with_tenant(Some(2)));
-        hub.set_tenant(None);
+        hub.record(record(RecordKind::Job, 0, MARKS));
+        hub.set_step(Some(StepContext { tenant: 7, start: SimTime::from_ns(60) }));
+        hub.record(record(RecordKind::Batch, 0, MARKS));
+        hub.record(record(RecordKind::Member, 0, MARKS));
+        hub.record(record(RecordKind::Job, 0, MARKS));
+        hub.set_step(None);
+        hub.record(record(RecordKind::Job, 0, MARKS));
+        assert_eq!(hub.event_count(), 5);
+        assert_eq!(hub.trace_count(), 4, "batch members carry no critical path");
         let traces = hub.job_traces();
-        assert_eq!(traces.len(), 3);
-        assert_eq!(traces[0].tenant, None);
-        assert_eq!(traces[1].tenant, Some(7));
-        assert_eq!(traces[2].tenant, Some(2));
-        assert_eq!(traces[0].trace_id, 3);
-        assert_eq!(traces[1].trace_id, 4);
+        let ids: Vec<u64> = traces.iter().map(|t| t.trace_id).collect();
+        assert_eq!(ids, [1, 2, 3, 4]);
+        let tenants: Vec<Option<u16>> = traces.iter().map(|t| t.tenant).collect();
+        assert_eq!(tenants, [None, Some(7), Some(7), None], "a cleared step stamps nothing");
 
         let profile = hub.critpath_profile();
-        assert_eq!(profile.jobs(), 3);
-        assert_eq!(profile.keys().len(), 3, "distinct tenants land in distinct cells");
+        assert_eq!(profile.jobs(), 4);
+        assert_eq!(profile.keys().len(), 2, "distinct tenants land in distinct cells");
     }
 }

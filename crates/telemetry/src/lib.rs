@@ -27,10 +27,12 @@ pub mod causal;
 pub mod export;
 pub mod hub;
 pub mod metrics;
+pub mod record;
 pub mod span;
 
 pub use causal::{Breakdown, CritPathProfile, JobTrace, SegmentKind, SegmentStat};
 pub use export::{chrome_trace_json, folded_stacks, metrics_csv, pcm_dashboard};
-pub use hub::Hub;
+pub use hub::{Hub, StepContext};
 pub use metrics::{Labels, Metric, Metrics};
+pub use record::{JobRecord, RecordKind};
 pub use span::{DescriptorSpan, Event, Phase, Span, Track};

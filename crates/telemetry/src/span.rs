@@ -1,5 +1,6 @@
 //! Span types: the descriptor lifecycle and generic named intervals.
 
+use crate::record::JobRecord;
 use dsa_sim::time::{SimDuration, SimTime};
 
 /// The six phases of a descriptor's trip through the device pipeline,
@@ -77,19 +78,13 @@ pub enum Track {
         /// WQ index on that device.
         wq: u16,
     },
-    /// A CBDMA channel on one device.
-    CbdmaChan {
-        /// Device index.
-        device: u16,
-        /// Channel index.
-        chan: u16,
-    },
     /// A named workload lane (e.g. `"vhost"`, `"migration"`).
     Workload(&'static str),
 }
 
 /// One descriptor's trip through the device pipeline: seven boundary
-/// timestamps delimiting the six [`Phase`]s.
+/// timestamps delimiting the six [`Phase`]s. Derived from a
+/// [`JobRecord`].
 #[derive(Clone, Copy, Debug)]
 pub struct DescriptorSpan {
     /// Device index.
@@ -129,9 +124,8 @@ impl DescriptorSpan {
     }
 }
 
-/// A generic named interval on a track (job phases, workload stages,
-/// CBDMA pipeline hops).
-#[derive(Clone, Debug)]
+/// A named interval on a track (job phases, workload stages).
+#[derive(Clone, Copy, Debug)]
 pub struct Span {
     /// Trace grouping.
     pub track: Track,
@@ -146,8 +140,8 @@ pub struct Span {
 /// A recorded trace event.
 #[derive(Clone, Debug)]
 pub enum Event {
-    /// A full descriptor lifecycle.
-    Descriptor(DescriptorSpan),
+    /// One job's record.
+    Job(JobRecord),
     /// A generic named span.
     Span(Span),
     /// A zero-duration marker.
@@ -159,6 +153,27 @@ pub enum Event {
         /// When it happened.
         at: SimTime,
     },
+}
+
+impl Event {
+    /// The descriptor lifecycle a job record derives, if any.
+    pub fn descriptor(&self) -> Option<DescriptorSpan> {
+        match self {
+            Event::Job(r) => r.descriptor(),
+            _ => None,
+        }
+    }
+
+    /// The named spans the event shows: a generic span itself, or the
+    /// ones a job record derives.
+    pub fn spans(&self) -> impl Iterator<Item = Span> {
+        let (own, derived) = match self {
+            Event::Job(r) => (None, Some(r.spans())),
+            Event::Span(s) => (Some(*s), None),
+            Event::Instant { .. } => (None, None),
+        };
+        own.into_iter().chain(derived.into_iter().flatten())
+    }
 }
 
 #[cfg(test)]

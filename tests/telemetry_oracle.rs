@@ -67,7 +67,7 @@ fn sync_memcpy_with_counted_alloc() {
             folded: 0xfaaa2e235363b8a2,
             dashboard: 0x404b09e6bdbb27c7,
             traces: 12,
-            events: 60
+            events: 24
         }
     );
 }
@@ -91,7 +91,7 @@ fn async_memcpy_at_qd16() {
             folded: 0xfce706dd7bae838d,
             dashboard: 0x85edc021fafc00d6,
             traces: 64,
-            events: 192
+            events: 64
         }
     );
 }
@@ -129,7 +129,7 @@ fn remote_dram_cache_control_point() {
             folded: 0x9511c846a8f01e22,
             dashboard: 0x7d1008cbcb410677,
             traces: 16,
-            events: 64
+            events: 32
         }
     );
 }
@@ -154,7 +154,7 @@ fn traced_vm_migration() {
             folded: 0xa57e124acc7772c8,
             dashboard: 0xdac37d36f6b7ae3a,
             traces: 9,
-            events: 51
+            events: 35
         }
     );
 }
@@ -197,7 +197,7 @@ fn shared_wq_two_tenant_service_with_rejections() {
             folded: 0x20a73f7ee66c2590,
             dashboard: 0x5f1f63c92244beec,
             traces: 498,
-            events: 1494
+            events: 498
         }
     );
 }
