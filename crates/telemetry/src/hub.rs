@@ -54,6 +54,7 @@ impl Hub {
         let mut inner = self.inner.borrow_mut();
         if let Some(step) = inner.step {
             r.tenant = Some(step.tenant);
+            r.requested = step.start;
         }
         inner.events.push(Event::Job(r));
     }
@@ -201,7 +202,7 @@ mod tests {
     fn trace_ids_count_traced_records_and_the_step_context_is_scoped() {
         let hub = Hub::new();
         hub.record(record(RecordKind::Job, 0, MARKS));
-        hub.set_step(Some(StepContext { tenant: 7, start: SimTime::from_ns(60) }));
+        hub.set_step(Some(StepContext { tenant: 7, start: SimTime::from_ns(20) }));
         hub.record(record(RecordKind::Batch, 0, MARKS));
         hub.record(record(RecordKind::Member, 0, MARKS));
         hub.record(record(RecordKind::Job, 0, MARKS));
@@ -214,6 +215,8 @@ mod tests {
         assert_eq!(ids, [1, 2, 3, 4]);
         let tenants: Vec<Option<u16>> = traces.iter().map(|t| t.tenant).collect();
         assert_eq!(tenants, [None, Some(7), Some(7), None], "a cleared step stamps nothing");
+        let starts: Vec<u64> = traces.iter().map(|t| t.start.as_ps() / 1000).collect();
+        assert_eq!(starts, [60, 20, 20, 60], "a step's critical paths start with the step");
 
         let profile = hub.critpath_profile();
         assert_eq!(profile.jobs(), 4);

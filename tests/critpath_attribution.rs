@@ -10,6 +10,8 @@
 //! 3. **Digest neutrality** — tracing a multi-tenant
 //!    [`DsaService`] replay leaves its report digest bit-identical and
 //!    yields per-tenant critical-path profiles.
+//! 4. **Retries count** — a service job's critical path starts at its
+//!    step, so portal rejections and their backoff land in software prep.
 
 use dsa_bench::measure::{Measure, Mode};
 use dsa_core::runtime::DsaRuntime;
@@ -140,4 +142,41 @@ fn service_digest_is_identical_with_tracing_enabled() {
     for t in hub.job_traces() {
         assert_eq!(t.attributed_total(), t.total(), "trace #{} partitions exactly", t.trace_id);
     }
+}
+
+// ---------------------------------------------------------------------
+// 4. A retried service job's critical path keeps its rejected attempts.
+// ---------------------------------------------------------------------
+
+#[test]
+fn retried_service_jobs_attribute_their_backoff_to_software_prep() {
+    let backoff = SimDuration::from_ns(500);
+    let tenants = (0..6).map(|i| {
+        TenantSpec::new(&format!("t{i}"), 64 << 10, 300)
+            .with_arrival(Arrival::open(SimDuration::from_ns(100)))
+            .with_backoff(backoff)
+    });
+    let cfg = ServiceConfig::builder()
+        .plan(PlanSpec::Shared)
+        .seed(7)
+        .tenants(tenants)
+        .build()
+        .expect("plan fits the envelope");
+    let mut svc = DsaService::from_config(cfg).expect("validated config builds");
+    let hub = svc.trace();
+    svc.run();
+
+    let total = |f: fn(&TenantStats) -> u64| (0..svc.tenant_count()).map(|i| f(svc.stats(i))).sum();
+    let rejections: u64 = total(|s| s.retries);
+    assert!(rejections > 1000, "the shared WQ must push back hard, saw {rejections}");
+    assert_eq!(total(|s| s.exhausted), 0, "every job eventually gets a slot");
+    // So every rejection is followed by at least one base backoff before
+    // the job's next attempt, all inside some traced job's software prep.
+    let prep_ps: u128 = hub
+        .job_traces()
+        .iter()
+        .map(|t| u128::from(t.segment(SegmentKind::SoftwarePrep).as_ps()))
+        .sum();
+    let floor = u128::from(rejections) * u128::from(backoff.as_ps());
+    assert!(prep_ps >= floor, "software prep {prep_ps} ps < {rejections} x base backoff");
 }

@@ -192,9 +192,9 @@ fn shared_wq_two_tenant_service_with_rejections() {
     assert_eq!(
         pins(&hub),
         Pins {
-            chrome: 0x4b1cceda59dbb58b,
+            chrome: 0x63e5f933b1f94d75,
             csv: 0x50a5cf7d599f1e94,
-            folded: 0x20a73f7ee66c2590,
+            folded: 0x748e76252dea4bc8,
             dashboard: 0x5f1f63c92244beec,
             traces: 498,
             events: 498
