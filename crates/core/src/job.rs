@@ -49,7 +49,7 @@ use dsa_device::device::{BatchExecution, ExecTimeline, Execution, SubmitError, W
 use dsa_mem::memory::BufferHandle;
 use dsa_ops::dif::DifConfig;
 use dsa_sim::time::{SimDuration, SimTime};
-use dsa_telemetry::{JobRecord, Labels, RecordKind, Track};
+use dsa_telemetry::{DescriptorSpan, JobRecord, Labels, RecordKind, Track};
 
 /// Descriptor allocation cost when not amortized (paper Fig. 5: "the
 /// descriptor allocation time is where most time is spent, though in
@@ -280,7 +280,7 @@ impl Job {
     pub fn execute(self, rt: &mut DsaRuntime) -> Result<JobReport, DsaError> {
         let started = rt.now();
         let wait = self.wait;
-        let (handle, phases_pre) = self.submit_inner(rt)?;
+        let (handle, phases_pre) = self.issue(rt, true)?;
         let report = handle.wait_with(rt, wait, phases_pre, started);
         Ok(report)
     }
@@ -293,8 +293,7 @@ impl Job {
     ///
     /// Propagates non-retryable submission failures.
     pub fn submit(self, rt: &mut DsaRuntime) -> Result<JobHandle, DsaError> {
-        let (handle, _) = self.submit_inner(rt)?;
-        Ok(handle)
+        Ok(self.issue(rt, true)?.0)
     }
 
     /// Submits with a *single* portal attempt: a full WQ surfaces as
@@ -312,15 +311,12 @@ impl Job {
     /// `WqFull { retry_at }` when the WQ has no free slot, plus every
     /// non-retryable failure `submit` can return.
     pub fn try_submit(self, rt: &mut DsaRuntime) -> Result<JobHandle, DsaError> {
-        let job_start = rt.now();
-        self.preflight(rt)?;
-        let (outcome, _cost) = self.attempt(rt);
-        let exec = outcome?;
-        self.note_job(rt, job_start, &exec);
-        Ok(self.handle_for(rt, &exec))
+        Ok(self.issue(rt, false)?.0)
     }
 
-    fn submit_inner(self, rt: &mut DsaRuntime) -> Result<(JobHandle, Phases), DsaError> {
+    /// Prepares the descriptor and submits it, retrying a full WQ when
+    /// `retry` is set; writes the job's record once the WQ accepts.
+    fn issue(self, rt: &mut DsaRuntime, retry: bool) -> Result<(JobHandle, Phases), DsaError> {
         let job_start = rt.now();
         let mut phases = self.preflight(rt)?;
         let mut submit_cost = SimDuration::ZERO;
@@ -329,17 +325,20 @@ impl Job {
             submit_cost += cost;
             match outcome {
                 Ok(exec) => break exec,
-                Err(SubmitError::WqFull { retry_at }) => {
-                    // The submitter retries when a slot frees (ENQCMD retry
-                    // loop / software occupancy tracking for DWQs).
-                    rt.advance_to(retry_at);
-                }
+                // The submitter retries when a slot frees (ENQCMD retry
+                // loop / software occupancy tracking for DWQs).
+                Err(SubmitError::WqFull { retry_at }) if retry => rt.advance_to(retry_at),
                 Err(e) => return Err(e.into()),
             }
         };
         phases.submit = submit_cost;
         self.note_job(rt, job_start, &exec);
-        let handle = self.handle_for(rt, &exec);
+        let handle = JobHandle {
+            record: exec.record,
+            device_timeline: exec.timeline,
+            submit_end: rt.now(),
+            xfer_size: self.desc.xfer_size,
+        };
         Ok((handle, phases))
     }
 
@@ -396,27 +395,12 @@ impl Job {
     /// reads `completion_time` directly).
     fn note_job(&self, rt: &DsaRuntime, job_start: SimTime, exec: &Execution) {
         if let Some(hub) = rt.hub() {
+            let target = (self.device, self.wq);
             hub.record(JobRecord {
                 alloc: if self.amortized { SimDuration::ZERO } else { DESC_ALLOC },
                 prepare: DESC_PREPARE,
-                ..exec_record(
-                    RecordKind::Job,
-                    (self.device, self.wq),
-                    &self.desc,
-                    exec,
-                    job_start,
-                    rt,
-                )
+                ..exec_record(RecordKind::Job, target, &self.desc, exec, job_start, rt)
             });
-        }
-    }
-
-    fn handle_for(&self, rt: &DsaRuntime, exec: &Execution) -> JobHandle {
-        JobHandle {
-            record: exec.record,
-            device_timeline: exec.timeline,
-            submit_end: rt.now(),
-            xfer_size: self.desc.xfer_size,
         }
     }
 }
@@ -428,49 +412,47 @@ fn note_wq_full(rt: &DsaRuntime, device: usize, wq: usize) {
     }
 }
 
-/// The record's eight marks: the core-side `start` and the `rt.now()`
-/// submission end, then the device timeline from admission on.
-fn marks(start: SimTime, rt: &DsaRuntime, tl: &ExecTimeline) -> [SimTime; 8] {
-    debug_assert_eq!(tl.submitted, tl.admitted, "a WQ admits at the portal or refuses");
-    [
-        start,
-        rt.now(),
-        tl.admitted,
-        tl.dispatched,
-        tl.translated,
-        tl.read_done,
-        tl.data_done,
-        tl.completed,
-    ]
+/// The record of a descriptor (or batch) the device ran for a job that
+/// started at `start` and finished its portal write by `rt.now()`.
+fn device_record(
+    kind: RecordKind,
+    target: (usize, usize),
+    start: SimTime,
+    rt: &DsaRuntime,
+    t: &ExecTimeline,
+) -> JobRecord {
+    let desc = DescriptorSpan {
+        device: target.0 as u16,
+        wq: target.1 as u16,
+        marks: [
+            t.submitted,
+            t.admitted,
+            t.dispatched,
+            t.translated,
+            t.read_done,
+            t.data_done,
+            t.completed,
+        ],
+        ..DescriptorSpan::default()
+    };
+    JobRecord { kind, desc, requested: start, start, submitted: rt.now(), ..JobRecord::default() }
 }
 
 /// The record of one descriptor the device executed: a job, or a member
 /// of a batch that started at `start`.
 fn exec_record(
     kind: RecordKind,
-    (device, wq): (usize, usize),
+    target: (usize, usize),
     desc: &Descriptor,
     exec: &Execution,
     start: SimTime,
     rt: &DsaRuntime,
 ) -> JobRecord {
-    JobRecord {
-        kind,
-        device: device as u16,
-        wq: wq as u16,
-        pe: exec.pe,
-        tenant: None,
-        seq: exec.seq,
-        op: desc.opcode.mnemonic(),
-        xfer_size: desc.xfer_size,
-        alloc: SimDuration::ZERO,
-        prepare: SimDuration::ZERO,
-        requested: start,
-        marks: marks(start, rt, &exec.timeline),
-        wq_depth: exec.wq_depth,
-        engines_busy: exec.engines_busy,
-        engines: exec.engines,
-    }
+    let mut r = device_record(kind, target, start, rt, &exec.timeline);
+    (r.desc.op, r.desc.xfer_size) = (desc.opcode.mnemonic(), desc.xfer_size);
+    (r.desc.pe, r.desc.seq) = (exec.pe, exec.seq);
+    (r.wq_depth, r.engines_busy, r.engines) = (exec.wq_depth, exec.engines_busy, exec.engines);
+    r
 }
 
 /// An in-flight asynchronous job.
@@ -722,25 +704,11 @@ impl Batch {
     fn note_batch(&self, rt: &DsaRuntime, job_start: SimTime, exec: &BatchExecution) {
         let Some(hub) = rt.hub() else { return };
         let bytes: u64 = self.descs.iter().map(|d| u64::from(d.xfer_size)).sum();
-        hub.record(JobRecord {
-            kind: RecordKind::Batch,
-            device: self.device as u16,
-            wq: self.wq as u16,
-            pe: 0,
-            tenant: None,
-            seq: 0,
-            op: "batch",
-            xfer_size: u32::try_from(bytes).unwrap_or(u32::MAX),
-            alloc: SimDuration::ZERO,
-            prepare: SimDuration::ZERO,
-            requested: job_start,
-            marks: marks(job_start, rt, &exec.timeline),
-            wq_depth: 0,
-            engines_busy: SimDuration::ZERO,
-            engines: 0,
-        });
+        let target = (self.device, self.wq);
+        let mut r = device_record(RecordKind::Batch, target, job_start, rt, &exec.timeline);
+        (r.desc.op, r.desc.xfer_size) = ("batch", u32::try_from(bytes).unwrap_or(u32::MAX));
+        hub.record(r);
         for (desc, m) in self.descs.iter().zip(&exec.members) {
-            let target = (self.device, self.wq);
             hub.record(exec_record(RecordKind::Member, target, desc, m, job_start, rt));
         }
     }

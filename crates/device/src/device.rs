@@ -124,12 +124,10 @@ pub struct Execution {
     pub record: CompletionRecord,
     /// Phase timestamps.
     pub timeline: ExecTimeline,
-    /// Device-wide sequence number: descriptors processed so far,
-    /// this one included.
+    /// Device-wide sequence number (1-based) of this descriptor.
     pub seq: u64,
-    /// Processing engine credited with the work. The group's engines are
-    /// indistinguishable (earliest-free wins), so work is credited
-    /// round-robin by sequence number.
+    /// Engine credited with the work: the group's engines are
+    /// interchangeable (earliest-free wins), so credit goes round-robin.
     pub pe: u16,
     /// Descriptors the WQ held at admission (FIFO view of its slots).
     pub wq_depth: u32,
@@ -190,9 +188,6 @@ struct WqState {
     cfg: crate::config::WqConfig,
     window: SlidingWindow,
     enqcmd_port: dsa_sim::timeline::Timeline,
-    /// Submissions this WQ refused with `WqFull` (per-queue back-pressure
-    /// accounting for multi-tenant admission control).
-    full_rejections: u64,
 }
 
 /// One DSA instance.
@@ -271,7 +266,6 @@ impl DsaDevice {
                 cfg,
                 window: SlidingWindow::new(cfg.size as usize),
                 enqcmd_port: dsa_sim::timeline::Timeline::new(),
-                full_rejections: 0,
             })
             .collect();
         Ok(DsaDevice {
@@ -344,22 +338,6 @@ impl DsaDevice {
     /// Panics if `wq` is out of range.
     pub fn wq_pending(&self, wq: WqId, now: SimTime) -> usize {
         self.wqs[wq.0].window.pending_at(now)
-    }
-
-    /// Submissions WQ `wq` has refused with [`SubmitError::WqFull`] so far
-    /// (per-queue back-pressure; admission controllers read this to size
-    /// retry budgets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `wq` is out of range.
-    pub fn wq_full_events(&self, wq: WqId) -> u64 {
-        self.wqs[wq.0].full_rejections
-    }
-
-    fn record_wq_full(&mut self, wq: WqId) {
-        self.wqs[wq.0].full_rejections += 1;
-        self.telemetry.wq_rejections += 1;
     }
 
     /// Descriptors still in flight across all WQs at `now`.
@@ -437,7 +415,7 @@ impl DsaDevice {
         let submitted = now + self.timing.portal_accept;
         let slot = self.wqs[wq.0].window.available_at(submitted);
         if slot > submitted {
-            self.record_wq_full(wq);
+            self.telemetry.wq_rejections += 1;
             return Err(SubmitError::WqFull { retry_at: slot });
         }
         let admitted = self.wqs[wq.0].window.acquire(submitted);
@@ -485,7 +463,7 @@ impl DsaDevice {
         let submitted = now + self.timing.portal_accept;
         let slot = self.wqs[wq.0].window.available_at(submitted);
         if slot > submitted {
-            self.record_wq_full(wq);
+            self.telemetry.wq_rejections += 1;
             return Err(SubmitError::WqFull { retry_at: slot });
         }
         let admitted = self.wqs[wq.0].window.acquire(submitted);
@@ -1119,8 +1097,6 @@ mod tests {
             Err(SubmitError::WqFull { retry_at }) => assert!(retry_at > SimTime::ZERO),
             other => panic!("expected WqFull, got {other:?}"),
         }
-        // Rejections are accounted per-WQ and device-wide.
-        assert_eq!(rig.dev.wq_full_events(WqId(0)), 1);
         assert_eq!(rig.dev.telemetry().wq_rejections, 1);
     }
 

@@ -13,9 +13,9 @@
 //!   p50/p99/p999 attributed breakdowns with dominant-bottleneck
 //!   classification.
 //!
-//! Everything here is deterministic and replay-safe: IDs derive from an
-//! insertion-order counter, containers are
-//! ordered (`BTreeMap`, arrays), and no wall clock is consulted. The
+//! Everything here is deterministic and replay-safe: IDs are insertion
+//! order, containers are ordered (`BTreeMap`, arrays), and no wall clock
+//! is consulted. The
 //! module sits inside the dsa-lint det-core scope (R1/R3), so hash-order
 //! containers and float->int timeline casts are rejected at lint time.
 
@@ -63,24 +63,12 @@ impl SegmentKind {
 
     /// Positional index in [`ALL`](Self::ALL).
     pub fn index(self) -> usize {
-        match self {
-            SegmentKind::SoftwarePrep => 0,
-            SegmentKind::WqWait => 1,
-            SegmentKind::PeService => 2,
-            SegmentKind::MemoryHop => 3,
-            SegmentKind::CompletionWrite => 4,
-        }
+        self as usize
     }
 
     /// Stable snake_case name (used in folded stacks and report tables).
     pub fn name(self) -> &'static str {
-        match self {
-            SegmentKind::SoftwarePrep => "software_prep",
-            SegmentKind::WqWait => "wq_wait",
-            SegmentKind::PeService => "pe_service",
-            SegmentKind::MemoryHop => "memory_hop",
-            SegmentKind::CompletionWrite => "completion_write",
-        }
+        ["software_prep", "wq_wait", "pe_service", "memory_hop", "completion_write"][self.index()]
     }
 
     /// The descriptor-lifecycle [`Phase`]s this segment covers.
@@ -109,11 +97,12 @@ pub struct JobTrace {
     pub device: u16,
     /// Work queue the descriptor landed in.
     pub wq: u16,
-    /// Operation mnemonic ("memcpy", "batch", "cbdma_copy", ...).
+    /// Operation mnemonic ("memmove", "batch", ...).
     pub op: &'static str,
     /// Bytes moved (clamped to `u32::MAX` for jumbo batches).
     pub xfer_size: u32,
-    /// Software job start (before descriptor allocation).
+    /// When the job first asked for a WQ slot (before descriptor
+    /// allocation and any rejected attempts).
     pub start: SimTime,
     /// Completion record visible to software.
     pub end: SimTime,
@@ -139,10 +128,7 @@ impl JobTrace {
             bounds.windows(2).all(|w| w[0] <= w[1]),
             "critical-path boundaries must be nondecreasing: {bounds:?}"
         );
-        let mut segments = [SimDuration::ZERO; 5];
-        for (i, seg) in segments.iter_mut().enumerate() {
-            *seg = bounds[i + 1].saturating_duration_since(bounds[i]);
-        }
+        let segments = std::array::from_fn(|i| bounds[i + 1].saturating_duration_since(bounds[i]));
         JobTrace {
             trace_id,
             tenant: None,

@@ -38,13 +38,10 @@ fn track_pid_tid(track: Track, workloads: &mut Vec<&'static str>) -> (u64, u64) 
         Track::Job => (1, 0),
         Track::Wq { device, wq } => (100 + device as u64, wq as u64),
         Track::Workload(name) => {
-            let idx = match workloads.iter().position(|w| *w == name) {
-                Some(i) => i,
-                None => {
-                    workloads.push(name);
-                    workloads.len() - 1
-                }
-            };
+            let idx = workloads.iter().position(|w| *w == name).unwrap_or_else(|| {
+                workloads.push(name);
+                workloads.len() - 1
+            });
             (300, idx as u64)
         }
     }
@@ -390,7 +387,7 @@ mod tests {
 
     fn hub_with_one_descriptor() -> Hub {
         let hub = Hub::new();
-        hub.record(record(RecordKind::Job, 2, [60, 100, 100, 200, 230, 700, 900, 955]));
+        hub.record(record(RecordKind::Job, 2, [60, 100, 100, 100, 200, 230, 700, 900, 955]));
         hub
     }
 
@@ -455,9 +452,13 @@ mod tests {
 
     fn hub_with_traces() -> Hub {
         let hub = Hub::new();
-        hub.record(record(RecordKind::Job, 2, [100, 130, 140, 200, 230, 700, 900, 955]));
+        hub.record(record(RecordKind::Job, 2, [100, 130, 130, 140, 200, 230, 700, 900, 955]));
         hub.set_step(Some(StepContext { tenant: 1, start: SimTime::from_ns(1000) }));
-        hub.record(record(RecordKind::Job, 3, [1000, 1030, 1040, 1100, 1130, 1500, 1800, 1855]));
+        hub.record(record(
+            RecordKind::Job,
+            3,
+            [1000, 1030, 1030, 1040, 1100, 1130, 1500, 1800, 1855],
+        ));
         hub
     }
 

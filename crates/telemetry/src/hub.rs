@@ -160,7 +160,7 @@ mod tests {
     use crate::record::RecordKind;
     use crate::span::Phase;
 
-    const MARKS: [u64; 8] = [60, 100, 100, 200, 230, 700, 900, 955];
+    const MARKS: [u64; 9] = [60, 100, 100, 100, 200, 230, 700, 900, 955];
 
     #[test]
     fn clones_share_the_sink() {

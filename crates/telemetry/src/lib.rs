@@ -6,9 +6,11 @@
 //! into software/queueing/processing phases (Fig. 5). This crate gives
 //! the model stack one shared sink for the same signals:
 //!
-//! * [`Hub`] — a cheaply cloneable handle every layer (device, runtime,
-//!   workloads) can hold; single-threaded interior mutability matches the
-//!   deterministic simulation.
+//! * [`Hub`] — a cheaply cloneable handle the runtime and workloads hold
+//!   (devices hold none); single-threaded interior mutability matches
+//!   the deterministic simulation.
+//! * [`record`] — the one fixed-size [`JobRecord`] the job layer writes
+//!   per job. Every view below is derived from the records when read.
 //! * [`span`] — per-descriptor lifecycle spans (submit → WQ wait →
 //!   address translate → read → write → completion record) plus generic
 //!   named spans for jobs and workload stages.

@@ -125,16 +125,6 @@ impl Metrics {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, Labels, &Metric)> + '_ {
         self.map.iter().map(|((n, l), m)| (*n, *l, m))
     }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 #[cfg(test)]

@@ -11,10 +11,11 @@ use crate::span::{DescriptorSpan, Phase, Span, Track};
 use dsa_sim::time::{SimDuration, SimTime};
 
 /// What a [`JobRecord`] describes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecordKind {
     /// One descriptor submitted as a job: its device lifecycle, its
     /// job-track spans and its critical path.
+    #[default]
     Job,
     /// A batch descriptor: its descriptor-list fetch and its critical
     /// path. Its members follow it as [`Member`](Self::Member) records.
@@ -24,38 +25,27 @@ pub enum RecordKind {
 }
 
 /// One job as the layer that saw all of it recorded it.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct JobRecord {
     /// What the record describes.
     pub kind: RecordKind,
-    /// Device index.
-    pub device: u16,
-    /// WQ the descriptor was submitted to.
-    pub wq: u16,
-    /// Processing engine credited with the work.
-    pub pe: u16,
     /// Owning tenant, when the job ran under the service layer.
     pub tenant: Option<u16>,
-    /// Device-wide submission sequence number.
-    pub seq: u64,
-    /// Operation mnemonic (e.g. `"memmove"`, `"batch"`).
-    pub op: &'static str,
-    /// Transfer size in bytes (clamped to `u32::MAX` for jumbo batches).
-    pub xfer_size: u32,
+    /// The descriptor's ids, op, size and device-side lifecycle (for a
+    /// batch, the batch descriptor's).
+    pub desc: DescriptorSpan,
+    /// When the job first asked for a WQ slot: the critical path starts
+    /// here. Equal to `start` unless rejected attempts came first.
+    pub requested: SimTime,
+    /// When the job started on the core (before descriptor allocation).
+    pub start: SimTime,
+    /// When the core finished the accepted portal write.
+    pub submitted: SimTime,
     /// Descriptor allocation charged to the job (zero when the descriptor
     /// was pre-allocated, which records no alloc span).
     pub alloc: SimDuration,
     /// Descriptor preparation charged to the job.
     pub prepare: SimDuration,
-    /// When the job first asked for a WQ slot: the critical path starts
-    /// here. Equal to `marks[0]` unless rejected attempts came first.
-    pub requested: SimTime,
-    /// Job start, submitted (portal write done on the core), admitted,
-    /// dispatched, translated, read done, data done, completed.
-    /// Nondecreasing. The device admits a descriptor the instant its
-    /// portal write lands (a full WQ refuses instead of queueing), so the
-    /// descriptor's own lifecycle starts at `admitted`.
-    pub marks: [SimTime; 8],
     /// Descriptors the WQ held at admission.
     pub wq_depth: u32,
     /// Cumulative busy time of the group's engines at completion.
@@ -72,42 +62,26 @@ impl JobRecord {
 
     /// The descriptor lifecycle, for records that ran one descriptor.
     pub fn descriptor(&self) -> Option<DescriptorSpan> {
-        let m = self.marks;
-        (self.kind != RecordKind::Batch).then_some(DescriptorSpan {
-            device: self.device,
-            wq: self.wq,
-            pe: self.pe,
-            seq: self.seq,
-            op: self.op,
-            xfer_size: self.xfer_size,
-            marks: [m[2], m[2], m[3], m[4], m[5], m[6], m[7]],
-        })
+        (self.kind != RecordKind::Batch).then_some(self.desc)
     }
 
     /// The named spans the record shows besides its descriptor phases:
     /// a job's alloc (when charged), prepare and submit on the job
     /// track, or a batch's descriptor-list fetch on its WQ.
     pub fn spans(&self) -> impl Iterator<Item = Span> {
-        let job = |name, start, end| Some(Span { track: Track::Job, name, start, end });
-        let start = self.marks[0];
-        let prepared = start + self.alloc;
+        let span = |track, name, start, end| Some(Span { track, name, start, end });
+        let (m, prepared) = (self.desc.marks, self.start + self.alloc);
         match self.kind {
             RecordKind::Job => [
-                job("alloc", start, prepared).filter(|_| !self.alloc.is_zero()),
-                job("prepare", prepared, prepared + self.prepare),
-                job("submit", prepared + self.prepare, self.marks[1]),
+                span(Track::Job, "alloc", self.start, prepared).filter(|_| !self.alloc.is_zero()),
+                span(Track::Job, "prepare", prepared, prepared + self.prepare),
+                span(Track::Job, "submit", prepared + self.prepare, self.submitted),
             ],
-            RecordKind::Batch => [
-                Some(Span {
-                    track: Track::Wq { device: self.device, wq: self.wq },
-                    name: "batch_fetch",
-                    start: self.marks[2],
-                    end: self.marks[3],
-                }),
-                None,
-                None,
-            ],
-            RecordKind::Member => [None, None, None],
+            RecordKind::Batch => {
+                let wq = Track::Wq { device: self.desc.device, wq: self.desc.wq };
+                [span(wq, "batch_fetch", m[1], m[2]), None, None]
+            }
+            RecordKind::Member => [None; 3],
         }
         .into_iter()
         .flatten()
@@ -115,18 +89,11 @@ impl JobRecord {
 
     /// The attributed critical path, for jobs and batches.
     pub fn trace(&self, trace_id: u64) -> Option<JobTrace> {
-        let m = self.marks;
-        let bounds = [self.requested, m[2], m[3], m[4], m[6], m[7]];
+        let (d, m) = (&self.desc, self.desc.marks);
+        let bounds = [self.requested, m[1], m[2], m[3], m[5], m[6]];
         self.is_traced().then(|| {
-            JobTrace::from_boundaries(
-                trace_id,
-                self.device,
-                self.wq,
-                self.op,
-                self.xfer_size,
-                bounds,
-            )
-            .with_tenant(self.tenant)
+            JobTrace::from_boundaries(trace_id, d.device, d.wq, d.op, d.xfer_size, bounds)
+                .with_tenant(self.tenant)
         })
     }
 
@@ -134,17 +101,17 @@ impl JobRecord {
     /// byte, job and batch counters; per-WQ and per-PE completion
     /// latency; per-phase histograms; WQ depth and PE occupancy series.
     pub fn add_to(&self, metrics: &mut Metrics) {
-        let wq = Labels::wq(self.device, self.wq);
+        let d = &self.desc;
+        let wq = Labels::wq(d.device, d.wq);
         match self.kind {
             RecordKind::Job => metrics.counter_add("jobs", wq, 1),
-            RecordKind::Batch => metrics.counter_add("batches", wq, 1),
+            RecordKind::Batch => return metrics.counter_add("batches", wq, 1),
             RecordKind::Member => {}
         }
-        let Some(d) = self.descriptor() else { return };
         metrics.counter_add("descriptors", wq, 1);
         metrics.counter_add("bytes", wq, u64::from(d.xfer_size));
         metrics.observe("descriptor_latency", wq, d.total());
-        metrics.observe("descriptor_latency", Labels::pe(self.device, self.pe), d.total());
+        metrics.observe("descriptor_latency", Labels::pe(d.device, d.pe), d.total());
         for p in Phase::ALL {
             metrics.observe(p.metric(), wq, d.phase_duration(p));
         }
@@ -152,7 +119,7 @@ impl JobRecord {
         let completed = d.marks[6];
         let capacity = f64::from(self.engines) * completed.as_ns_f64();
         let util = self.engines_busy.as_ns_f64() / capacity.max(1.0);
-        metrics.series_push("pe_occupancy", Labels::device(self.device), completed, util.min(1.0));
+        metrics.series_push("pe_occupancy", Labels::device(d.device), completed, util.min(1.0));
     }
 }
 
@@ -161,24 +128,25 @@ pub(crate) mod tests {
     use super::*;
     use crate::causal::SegmentKind;
 
-    /// A 4 KiB memmove on device 0, PE 1, marks in nanoseconds.
-    pub(crate) fn record(kind: RecordKind, wq: u16, ns: [u64; 8]) -> JobRecord {
+    /// A 4 KiB memmove on device 0, PE 1: job start, core-side portal
+    /// write done, then the seven device marks, in nanoseconds.
+    pub(crate) fn record(kind: RecordKind, wq: u16, ns: [u64; 9]) -> JobRecord {
+        let t = ns.map(SimTime::from_ns);
+        let mut marks = [SimTime::ZERO; 7];
+        marks.copy_from_slice(&t[2..]);
+        let desc =
+            DescriptorSpan { device: 0, wq, pe: 1, seq: 7, op: "memmove", xfer_size: 4096, marks };
         JobRecord {
             kind,
-            device: 0,
-            wq,
-            pe: 1,
-            tenant: None,
-            seq: 7,
-            op: "memmove",
-            xfer_size: 4096,
-            alloc: SimDuration::ZERO,
+            desc,
+            requested: t[0],
+            start: t[0],
+            submitted: t[1],
             prepare: SimDuration::from_ns(12),
-            requested: SimTime::from_ns(ns[0]),
-            marks: ns.map(SimTime::from_ns),
             wq_depth: 1,
             engines_busy: SimDuration::from_ns(500),
             engines: 1,
+            ..JobRecord::default()
         }
     }
 
@@ -188,27 +156,30 @@ pub(crate) mod tests {
 
     #[test]
     fn a_job_derives_its_lifecycle_spans_and_critical_path() {
-        let mut r = record(RecordKind::Job, 0, [40, 100, 100, 200, 230, 700, 900, 955]);
+        let mut r = record(RecordKind::Job, 0, [40, 90, 100, 100, 200, 230, 700, 900, 955]);
         r.alloc = SimDuration::from_ns(20);
         let d = r.descriptor().expect("a job ran one descriptor");
-        assert_eq!(d.marks[0], SimTime::from_ns(100), "the lifecycle starts at admission");
+        assert_eq!(d.marks[0], SimTime::from_ns(100), "the device clock starts at the portal");
         assert_eq!(d.total(), SimDuration::from_ns(855));
-        assert_eq!(
-            bounds(r.spans()),
-            [("alloc", 40, 60), ("prepare", 60, 72), ("submit", 72, 100)]
-        );
+        assert_eq!(bounds(r.spans()), [("alloc", 40, 60), ("prepare", 60, 72), ("submit", 72, 90)]);
         let t = r.trace(3).expect("a job has a critical path");
         assert_eq!((t.trace_id, t.start, t.end), (3, SimTime::from_ns(40), SimTime::from_ns(955)));
         assert_eq!(t.segment(SegmentKind::SoftwarePrep), SimDuration::from_ns(60));
         assert_eq!(t.segment(SegmentKind::MemoryHop), SimDuration::from_ns(670));
 
+        // Rejected attempts before this one widen software prep only.
+        r.requested = SimTime::from_ns(10);
+        let t = r.trace(3).expect("a job has a critical path");
+        assert_eq!(t.segment(SegmentKind::SoftwarePrep), SimDuration::from_ns(90));
+        assert_eq!(bounds(r.spans())[0], ("alloc", 40, 60));
+
         r.alloc = SimDuration::ZERO;
-        assert_eq!(bounds(r.spans()), [("prepare", 40, 52), ("submit", 52, 100)]);
+        assert_eq!(bounds(r.spans()), [("prepare", 40, 52), ("submit", 52, 90)]);
     }
 
     #[test]
     fn batches_and_members_split_the_views() {
-        let ns = [40, 60, 100, 200, 200, 700, 900, 955];
+        let ns = [40, 60, 100, 100, 200, 200, 700, 900, 955];
         let batch = record(RecordKind::Batch, 2, ns);
         assert!(batch.descriptor().is_none());
         assert_eq!(bounds(batch.spans()), [("batch_fetch", 100, 200)]);

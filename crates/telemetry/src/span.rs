@@ -30,26 +30,12 @@ impl Phase {
 
     /// Position in [`Phase::ALL`].
     pub fn index(self) -> usize {
-        match self {
-            Phase::Submit => 0,
-            Phase::Wait => 1,
-            Phase::Translate => 2,
-            Phase::Read => 3,
-            Phase::Write => 4,
-            Phase::Complete => 5,
-        }
+        self as usize
     }
 
     /// Short lowercase name used in trace events and metric keys.
     pub fn name(self) -> &'static str {
-        match self {
-            Phase::Submit => "submit",
-            Phase::Wait => "wait",
-            Phase::Translate => "translate",
-            Phase::Read => "read",
-            Phase::Write => "write",
-            Phase::Complete => "complete",
-        }
+        ["submit", "wait", "translate", "read", "write", "complete"][self.index()]
     }
 
     /// The histogram this phase's durations feed in the metrics registry.
@@ -83,9 +69,9 @@ pub enum Track {
 }
 
 /// One descriptor's trip through the device pipeline: seven boundary
-/// timestamps delimiting the six [`Phase`]s. Derived from a
+/// timestamps delimiting the six [`Phase`]s. The device-side part of a
 /// [`JobRecord`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct DescriptorSpan {
     /// Device index.
     pub device: u16,
@@ -95,9 +81,9 @@ pub struct DescriptorSpan {
     pub pe: u16,
     /// Device-wide submission sequence number.
     pub seq: u64,
-    /// Operation mnemonic (e.g. `"memmove"`).
+    /// Operation mnemonic (e.g. `"memmove"`, `"batch"`).
     pub op: &'static str,
-    /// Transfer size in bytes.
+    /// Transfer size in bytes (clamped to `u32::MAX` for jumbo batches).
     pub xfer_size: u32,
     /// Phase boundaries: submitted, admitted, dispatched, translated,
     /// read done, data done, completion visible. Must be nondecreasing.
