@@ -38,10 +38,13 @@ fn track_pid_tid(track: Track, workloads: &mut Vec<&'static str>) -> (u64, u64) 
         Track::Job => (1, 0),
         Track::Wq { device, wq } => (100 + device as u64, wq as u64),
         Track::Workload(name) => {
-            let idx = workloads.iter().position(|w| *w == name).unwrap_or_else(|| {
-                workloads.push(name);
-                workloads.len() - 1
-            });
+            let idx = match workloads.iter().position(|w| *w == name) {
+                Some(i) => i,
+                None => {
+                    workloads.push(name);
+                    workloads.len() - 1
+                }
+            };
             (300, idx as u64)
         }
     }

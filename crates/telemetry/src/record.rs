@@ -101,13 +101,13 @@ impl JobRecord {
     /// byte, job and batch counters; per-WQ and per-PE completion
     /// latency; per-phase histograms; WQ depth and PE occupancy series.
     pub fn add_to(&self, metrics: &mut Metrics) {
-        let d = &self.desc;
-        let wq = Labels::wq(d.device, d.wq);
+        let wq = Labels::wq(self.desc.device, self.desc.wq);
         match self.kind {
             RecordKind::Job => metrics.counter_add("jobs", wq, 1),
-            RecordKind::Batch => return metrics.counter_add("batches", wq, 1),
+            RecordKind::Batch => metrics.counter_add("batches", wq, 1),
             RecordKind::Member => {}
         }
+        let Some(d) = self.descriptor() else { return };
         metrics.counter_add("descriptors", wq, 1);
         metrics.counter_add("bytes", wq, u64::from(d.xfer_size));
         metrics.observe("descriptor_latency", wq, d.total());
