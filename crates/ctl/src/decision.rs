@@ -66,6 +66,13 @@ pub struct ControlReport {
     pub decisions: Vec<Decision>,
     /// Epochs the governor stepped through.
     pub epochs: u32,
+    /// Jobs offered by every digital twin the governor ran, incumbents
+    /// included: the work its searches did. Not in the digest.
+    pub twin_jobs: u64,
+    /// Challenger twins dropped by the search before they drained, once
+    /// their score bound passed the best finished score. Not in the
+    /// digest.
+    pub twins_pruned: u64,
 }
 
 impl ControlReport {

@@ -30,6 +30,12 @@ pub struct GovernedFleetReport {
     pub decisions: u64,
     /// Plan transitions actually applied across all shards.
     pub transitions: u64,
+    /// [`ControlReport::twin_jobs`](crate::decision::ControlReport::twin_jobs)
+    /// summed over the shards.
+    pub twin_jobs: u64,
+    /// [`ControlReport::twins_pruned`](crate::decision::ControlReport::twins_pruned)
+    /// summed over the shards.
+    pub twins_pruned: u64,
 }
 
 impl GovernedFleet {
@@ -76,17 +82,18 @@ impl GovernedFleet {
             // zero decisions the two coincide, so a pressure-free
             // governed fleet digests exactly like a plain one.
             shard.digest = ctl.digest();
-            Ok((shard, ctl.decisions.len() as u64, ctl.transitions()))
+            Ok((shard, ctl))
         })?;
-        let mut decisions = 0;
-        let mut transitions = 0;
+        let (mut decisions, mut transitions, mut twin_jobs, mut twins_pruned) = (0, 0, 0, 0);
         let mut shards = Vec::with_capacity(rows.len());
-        for (shard, d, t) in rows {
-            decisions += d;
-            transitions += t;
+        for (shard, ctl) in rows {
+            decisions += ctl.decisions.len() as u64;
+            transitions += ctl.transitions();
+            twin_jobs += ctl.twin_jobs;
+            twins_pruned += ctl.twins_pruned;
             shards.push(shard);
         }
         let fleet = FleetReport::from_shards(self.fleet.config().placement(), shards);
-        Ok(GovernedFleetReport { fleet, decisions, transitions })
+        Ok(GovernedFleetReport { fleet, decisions, transitions, twin_jobs, twins_pruned })
     }
 }

@@ -429,6 +429,14 @@ impl DsaService {
         &self.tenants[i].stats
     }
 
+    /// Deadline failures so far across all tenants: completions past
+    /// their deadline plus jobs shed at admission. Never decreases while
+    /// the service runs; once it drains, it equals
+    /// [`ServiceReport::deadline_failures`] of its [`report`](Self::report).
+    pub fn deadline_failures(&self) -> u64 {
+        self.tenants.iter().map(|t| t.stats.deadline_misses + t.stats.shed).sum()
+    }
+
     /// The underlying runtime (read-only).
     pub fn runtime(&self) -> &DsaRuntime {
         &self.rt

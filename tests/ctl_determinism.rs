@@ -52,8 +52,9 @@ const PRESSURED: [(u64, u64, bool); 2] =
     [(0x0C71_5EED, 0x4232_9915_c6b7_d1cf, false), (2, 0xac00_450d_3c8c_f662, true)];
 
 /// Sequential vs K ∈ {1, 2, 8} worker threads, twice each: every run of
-/// the closed loop replays to the same merged control digest and the
-/// same fleet-wide decision/transition counts — and decisions actually
+/// the closed loop replays to the same merged control digest, the same
+/// fleet-wide decision/transition counts and the same twin-search work
+/// counters — and decisions actually
 /// happen, so the proof covers the loop acting, not idling.
 #[test]
 fn governed_fleet_replays_bit_identically_across_thread_counts() {
@@ -79,6 +80,8 @@ fn governed_fleet_replays_bit_identically_across_thread_counts() {
                 );
                 assert_eq!(par.decisions, seq.decisions, "{k}/{round}: decision count drifted");
                 assert_eq!(par.transitions, seq.transitions, "{k}/{round}: transitions drifted");
+                assert_eq!(par.twin_jobs, seq.twin_jobs, "{k}/{round}: twin jobs drifted");
+                assert_eq!(par.twins_pruned, seq.twins_pruned, "{k}/{round}: pruned twins drifted");
                 assert_eq!(
                     par.fleet.offered(),
                     seq.fleet.offered(),
@@ -124,4 +127,62 @@ fn governor_without_slo_is_a_bit_identical_no_op() {
     );
     assert_eq!(gov.fleet.offered(), plain.offered());
     assert_eq!(gov.fleet.completed(), plain.completed());
+}
+
+/// The governed churn lane the `ctl_governed` benchmark workload times:
+/// the churn roster at scale 4 (4,824 jobs) on the shared plan, seed
+/// `0xC10C0DE5`, SLO p99 60 µs and miss fraction 0.02, 10 µs epochs.
+fn governed_churn_lane() -> DsaService {
+    const SCALE: u64 = 4;
+    let deadline = SimDuration::from_us(60);
+    let mut specs = Vec::new();
+    for i in 0..4 {
+        specs.push(
+            TenantSpec::new(&format!("lat{i}"), 4 << 10, 240 * SCALE)
+                .with_class(QosClass::Latency)
+                .with_deadline(deadline)
+                .with_arrival(Arrival::open(SimDuration::from_ns(3_500))),
+        );
+    }
+    for i in 0..2 {
+        specs.push(
+            TenantSpec::new(&format!("bulk{i}"), 64 << 10, 120 * SCALE)
+                .with_arrival(Arrival::open(SimDuration::from_us(12))),
+        );
+    }
+    for i in 0..2 {
+        specs.push(
+            TenantSpec::new(&format!("agg{i}"), 512 << 10, 3 * SCALE)
+                .with_start(SimDuration::from_us(225 * SCALE))
+                .with_outstanding(8)
+                .with_arrival(Arrival::closed(SimDuration::ZERO)),
+        );
+    }
+    let cfg = ServiceConfig::builder()
+        .plan(PlanSpec::Shared)
+        .seed(0xC10C_0DE5)
+        .tenants(specs)
+        .slo(SloTarget::new().with_p99(deadline).with_deadline_miss_frac(0.02))
+        .build()
+        .expect("the churn roster is valid");
+    DsaService::from_config(cfg).expect("the shared plan builds")
+}
+
+/// The governor's search work is a deterministic counter, pinned next to
+/// the benchmark lane's control digest. Running every challenger twin to
+/// the end offers 68,215 twin jobs on this lane; the branch and bound
+/// offers 48,526 and drops 135 challenger twins early, with the same 45
+/// decisions and so the same digest. The floor, the incumbents plus each
+/// decision's best challenger run in full, is 27,286.
+#[test]
+fn governed_lane_pins_its_search_work() {
+    let mut svc = governed_churn_lane();
+    let ctl = Governor::new(ControllerConfig {
+        epoch: SimDuration::from_us(10),
+        ..ControllerConfig::default()
+    })
+    .govern(&mut svc);
+    assert_eq!(ctl.digest(), 0x8db9_cde3_92f4_19e0, "control digest drifted");
+    assert_eq!((ctl.decisions.len(), ctl.transitions()), (45, 1));
+    assert_eq!((ctl.twin_jobs, ctl.twins_pruned), (48_526, 135), "search work drifted");
 }
