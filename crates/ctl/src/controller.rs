@@ -487,12 +487,10 @@ impl Governor {
     /// Forks the digital twin that scores `plan`: a fresh service over
     /// `roster`, seeded deterministically from (controller salt, service
     /// seed, epoch, plan label). The twin comes from
-    /// [`DsaService::fork_twin`], so it is timing-only: it schedules
-    /// every job exactly as a backed service would but holds and copies
-    /// no bytes, since nothing reads them. Its [`score`] is exact once it
-    /// drains, whether it ran in one go or in slices; `stall_s` is the
-    /// candidate's priced transition stall, seconds. `None` when the plan
-    /// fails the twin's build validation.
+    /// [`DsaService::fork_twin`], timing-only like every service. Its
+    /// [`score`] is exact once it drains, whether it ran in one go or in
+    /// slices; `stall_s` is the candidate's priced transition stall,
+    /// seconds. `None` when the plan fails the twin's build validation.
     fn twin(
         &self,
         svc: &DsaService,

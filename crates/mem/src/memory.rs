@@ -329,6 +329,12 @@ impl Memory {
     pub fn allocated_bytes(&self) -> u64 {
         self.segments.values().map(|s| s.len).sum()
     }
+
+    /// Total bytes held: the lengths of the allocations that hold bytes
+    /// (0 in a timing-only address space).
+    pub fn backed_bytes(&self) -> u64 {
+        self.segments.values().filter(|s| s.data.is_some()).map(|s| s.len).sum()
+    }
 }
 
 #[cfg(test)]
@@ -485,8 +491,10 @@ mod tests {
         let mut m = Memory::new();
         m.alloc(10, Location::local_dram());
         m.alloc(20, Location::Cxl);
-        assert_eq!(m.allocated_bytes(), 30);
-        assert_eq!(m.iter_segments().count(), 2);
+        m.alloc_unbacked_with_pages(40, Location::local_dram(), PageSize::Base4K);
+        assert_eq!(m.allocated_bytes(), 70);
+        assert_eq!(m.backed_bytes(), 30);
+        assert_eq!(m.iter_segments().count(), 3);
     }
 
     #[test]
@@ -494,6 +502,7 @@ mod tests {
         let mut m = Memory::timing_only();
         let b = m.alloc(64, Location::local_dram());
         assert_eq!(m.holds_bytes(b.addr(), 64), Ok(false));
+        assert_eq!((m.allocated_bytes(), m.backed_bytes()), (64, 0));
         let no_bytes = MemError::NoBytes { addr: b.addr() + 8 };
         assert_eq!(m.read(b.addr() + 8, 16), Err(no_bytes));
         assert_eq!(m.read(b.addr() + 8, 0), Err(no_bytes), "never an empty slice");

@@ -32,6 +32,12 @@
 //!   percentiles plus a Jain index over accelerator-served shares, with an
 //!   FNV digest for bit-identical replay checks.
 //!
+//! Services are timing-only: [`DsaService::from_config`], which twins and
+//! fleet shards go through too, builds a runtime whose tenant buffers are
+//! placed and timed but hold no bytes. Byte exactness is tested below the
+//! service: `cpu_and_device_agree_op_by_op` and the ops and memory property
+//! tests; this crate's unit tests replay services against a backed one.
+//!
 //! ```
 //! use dsa_svc::prelude::*;
 //!

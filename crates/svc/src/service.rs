@@ -284,6 +284,8 @@ pub struct PlanTransition {
 impl DsaService {
     /// Builds the device per `cfg.plan`, allocates per-tenant buffers at
     /// `cfg.location` on `cfg.platform`, and seeds per-tenant RNG streams.
+    /// The runtime is timing-only: buffers are placed and timed exactly,
+    /// but hold no bytes, and no job moves any, since nothing reads them.
     ///
     /// # Errors
     ///
@@ -292,54 +294,15 @@ impl DsaService {
     /// 8-WQ envelope allows). A config from
     /// [`ServiceConfig::builder`] has already passed this validation.
     pub fn from_config(cfg: ServiceConfig) -> Result<DsaService, DsaError> {
-        DsaService::build(cfg, false)
-    }
-
-    /// Forks a digital twin of this service: a fresh service running
-    /// `roster` under `plan` from `seed`, on this service's platform and
-    /// buffer location, over a [`timing_only`] runtime. Its timeline, and
-    /// so its report, is bit-identical to a [`from_config`] service built
-    /// from the same configuration, but its buffers hold no bytes: no
-    /// pattern fill at build, no byte moved per job.
-    ///
-    /// [`timing_only`]: dsa_core::runtime::RuntimeBuilder::timing_only
-    /// [`from_config`]: DsaService::from_config
-    ///
-    /// # Errors
-    ///
-    /// The builder validation of [`ServiceBuilder::build`] on the twin's
-    /// configuration.
-    pub fn fork_twin(
-        &self,
-        plan: &Plan,
-        roster: Vec<TenantSpec>,
-        seed: u64,
-    ) -> Result<DsaService, DsaError> {
-        let cfg = ServiceConfig::builder()
-            .plan(PlanSpec::Fixed(plan.clone()))
-            .seed(seed)
-            .platform(self.rt.platform().clone())
-            .location(self.location)
-            .tenants(roster)
-            .build()?;
-        DsaService::build(cfg, true)
-    }
-
-    fn build(cfg: ServiceConfig, timing_only: bool) -> Result<DsaService, DsaError> {
         let ServiceConfig { plan, seed, platform, location, slo, tenants: specs } = cfg;
         let device = plan.device_config()?;
         let wqs = plan.assign(&specs);
-        let mut builder = DsaRuntime::builder(platform).device(device);
-        if timing_only {
-            builder = builder.timing_only();
-        }
-        let mut rt = builder.build();
+        let mut rt = DsaRuntime::builder(platform).device(device).timing_only().build();
         let mut master = SplitMix64::new(seed);
         let mut tenants = Vec::with_capacity(specs.len());
         for (i, spec) in specs.into_iter().enumerate() {
             let src = rt.alloc(spec.xfer, location);
             let dst = rt.alloc(spec.xfer, location);
-            rt.fill_pattern(&src, (i as u8).wrapping_mul(37).wrapping_add(1));
             let mut rng = master.split();
             let base = SimTime::ZERO + spec.start;
             let first =
@@ -369,6 +332,30 @@ impl DsaService {
             }
         }
         Ok(svc)
+    }
+
+    /// Forks a digital twin of this service: a fresh service running
+    /// `roster` under `plan` from `seed`, on this service's platform and
+    /// buffer location, built by [`from_config`](Self::from_config).
+    ///
+    /// # Errors
+    ///
+    /// The builder validation of [`ServiceBuilder::build`] on the twin's
+    /// configuration.
+    pub fn fork_twin(
+        &self,
+        plan: &Plan,
+        roster: Vec<TenantSpec>,
+        seed: u64,
+    ) -> Result<DsaService, DsaError> {
+        let cfg = ServiceConfig::builder()
+            .plan(PlanSpec::Fixed(plan.clone()))
+            .seed(seed)
+            .platform(self.rt.platform().clone())
+            .location(self.location)
+            .tenants(roster)
+            .build()?;
+        DsaService::from_config(cfg)
     }
 
     /// The placement plan in force.
@@ -898,6 +885,114 @@ mod tests {
     fn svc(plan: PlanSpec, specs: Vec<TenantSpec>) -> DsaService {
         let cfg = ServiceConfig::builder().plan(plan).tenants(specs).build().unwrap();
         DsaService::from_config(cfg).unwrap()
+    }
+
+    /// Tenant `i`'s source pattern in a [`backed`] service.
+    fn pattern(i: usize) -> u8 {
+        (i as u8).wrapping_mul(37).wrapping_add(1)
+    }
+
+    /// The service [`DsaService::from_config`] builds, re-homed onto a
+    /// backed runtime: the same device, and tenant buffers allocated in
+    /// the same order (so at the same addresses), each source filled with
+    /// [`pattern`]. The only service that holds bytes, kept as the oracle
+    /// timing-only services are checked against.
+    fn backed(cfg: ServiceConfig) -> DsaService {
+        let device = cfg.plan.device_config().unwrap();
+        let mut rt = DsaRuntime::builder(cfg.platform.clone()).device(device).build();
+        let mut svc = DsaService::from_config(cfg).unwrap();
+        for (i, t) in svc.tenants.iter_mut().enumerate() {
+            let src = rt.alloc(t.spec.xfer, svc.location);
+            let dst = rt.alloc(t.spec.xfer, svc.location);
+            assert_eq!((src.addr(), dst.addr()), (t.src.addr(), t.dst.addr()));
+            rt.fill_pattern(&src, pattern(i));
+            (t.src, t.dst) = (src, dst);
+        }
+        svc.rt = rt;
+        svc
+    }
+
+    fn small_churn_roster() -> Vec<TenantSpec> {
+        let mut specs = Vec::new();
+        for i in 0..4 {
+            specs.push(
+                TenantSpec::new(&format!("lat{i}"), 4 << 10, 60)
+                    .with_class(QosClass::Latency)
+                    .with_deadline(SimDuration::from_us(60))
+                    .with_arrival(Arrival::open(SimDuration::from_ns(3_500)))
+                    .with_retry_budget(2),
+            );
+        }
+        for i in 0..2 {
+            specs.push(
+                TenantSpec::new(&format!("bulk{i}"), 64 << 10, 30)
+                    .with_arrival(Arrival::open(SimDuration::from_us(12)))
+                    .with_retry_budget(2),
+            );
+        }
+        for i in 0..2 {
+            specs.push(
+                TenantSpec::new(&format!("agg{i}"), 512 << 10, 6)
+                    .with_start(SimDuration::from_us(60))
+                    .with_outstanding(8)
+                    .with_retry_budget(1),
+            );
+        }
+        specs
+    }
+
+    /// A timing-only service, built by `from_config` or forked as a twin
+    /// from a live service, replays bit-identically to a backed service
+    /// built from the same configuration: same digest, same makespan,
+    /// across seeds, plans and buffer locations. The backed service really
+    /// moves its bytes: every tenant that served a job ends with its
+    /// source pattern in its destination.
+    #[test]
+    fn timing_only_twin_replays_a_backed_service_bit_identically() {
+        let (mut retries, mut cpu) = (0, 0);
+        for seed in 0..8u64 {
+            let location =
+                if seed % 2 == 0 { Location::local_dram() } else { Location::remote_dram() };
+            for spec in [PlanSpec::Shared, PlanSpec::Dedicated, PlanSpec::ByClass] {
+                let roster = small_churn_roster();
+                let cfg = ServiceConfig::builder()
+                    .plan(spec.clone())
+                    .seed(seed)
+                    .location(location)
+                    .tenants(roster.clone())
+                    .build()
+                    .unwrap();
+                let plan = cfg.plan.clone();
+                let mut live = DsaService::from_config(cfg.clone()).unwrap();
+                let twin = live.fork_twin(&plan, roster, seed).unwrap().run();
+                let mut backed_svc = backed(cfg);
+                let backed = backed_svc.run();
+                for (label, rep) in [("from_config", live.run()), ("fork_twin", twin)] {
+                    assert_eq!(
+                        rep.digest(),
+                        backed.digest(),
+                        "seed {seed}, {}, {label}:\n--- timing-only ---\n{}\n--- backed ---\n{}",
+                        spec.label(),
+                        rep.summary(),
+                        backed.summary()
+                    );
+                    assert_eq!(rep.makespan, backed.makespan, "seed {seed}, {}", spec.label());
+                }
+                let mem = backed_svc.runtime().memory();
+                for (i, t) in backed_svc.tenants.iter().enumerate() {
+                    if t.stats.dsa_completed + t.stats.cpu_completed > 0 {
+                        let dst = mem.read(t.dst.addr(), t.dst.len()).unwrap();
+                        assert!(dst.iter().all(|&b| b == pattern(i)), "tenant {i} copied");
+                    }
+                }
+                retries += backed.tenants.iter().map(|t| t.retries).sum::<u64>();
+                cpu += backed.tenants.iter().map(|t| t.cpu_completed).sum::<u64>();
+            }
+        }
+        assert!(
+            retries > 0 && cpu > 0,
+            "no contention exercised: {retries} retries, {cpu} on the CPU"
+        );
     }
 
     fn two_tenants() -> Vec<TenantSpec> {

@@ -4,7 +4,6 @@
 //! claim under saturation.
 
 use dsa_core::error::DsaError;
-use dsa_mem::buffer::Location;
 use dsa_sim::rng::SplitMix64;
 use dsa_sim::time::{SimDuration, SimTime};
 use dsa_svc::prelude::*;
@@ -172,74 +171,4 @@ fn dedicated_wqs_are_fairer_than_shared_at_saturation() {
         ded.summary(),
         sha.summary()
     );
-}
-
-/// The `ctl_churn` roster cut down: four deadline-bound latency tenants
-/// and two bulk streams from t=0, then two deep-queued 512 KiB aggressors
-/// that saturate whatever WQ serves them, so submissions are rejected and
-/// exhausted retry budgets fall back to the CPU.
-fn small_churn_roster() -> Vec<TenantSpec> {
-    let mut specs = Vec::new();
-    for i in 0..4 {
-        specs.push(
-            TenantSpec::new(&format!("lat{i}"), 4 << 10, 60)
-                .with_class(QosClass::Latency)
-                .with_deadline(SimDuration::from_us(60))
-                .with_arrival(Arrival::open(SimDuration::from_ns(3_500)))
-                .with_retry_budget(2),
-        );
-    }
-    for i in 0..2 {
-        specs.push(
-            TenantSpec::new(&format!("bulk{i}"), 64 << 10, 30)
-                .with_arrival(Arrival::open(SimDuration::from_us(12)))
-                .with_retry_budget(2),
-        );
-    }
-    for i in 0..2 {
-        specs.push(
-            TenantSpec::new(&format!("agg{i}"), 512 << 10, 6)
-                .with_start(SimDuration::from_us(60))
-                .with_outstanding(8)
-                .with_retry_budget(1),
-        );
-    }
-    specs
-}
-
-/// A timing-only twin forked from a live service replays bit-identically
-/// to a backed service built from the same configuration: same digest,
-/// same makespan, across seeds, plans and buffer locations.
-#[test]
-fn timing_only_twin_replays_a_backed_service_bit_identically() {
-    let (mut retries, mut cpu) = (0, 0);
-    for seed in 0..8u64 {
-        let location = if seed % 2 == 0 { Location::local_dram() } else { Location::remote_dram() };
-        for spec in [PlanSpec::Shared, PlanSpec::Dedicated, PlanSpec::ByClass] {
-            let roster = small_churn_roster();
-            let cfg = ServiceConfig::builder()
-                .plan(spec.clone())
-                .seed(seed)
-                .location(location)
-                .tenants(roster.clone())
-                .build()
-                .unwrap();
-            let plan = cfg.plan.clone();
-            let live = DsaService::from_config(cfg.clone()).unwrap();
-            let backed = DsaService::from_config(cfg).unwrap().run();
-            let twin = live.fork_twin(&plan, roster, seed).unwrap().run();
-            assert_eq!(
-                twin.digest(),
-                backed.digest(),
-                "seed {seed}, {}:\n--- twin ---\n{}\n--- backed ---\n{}",
-                spec.label(),
-                twin.summary(),
-                backed.summary()
-            );
-            assert_eq!(twin.makespan, backed.makespan, "seed {seed}, {}", spec.label());
-            retries += backed.tenants.iter().map(|t| t.retries).sum::<u64>();
-            cpu += backed.tenants.iter().map(|t| t.cpu_completed).sum::<u64>();
-        }
-    }
-    assert!(retries > 0 && cpu > 0, "no contention exercised: {retries} retries, {cpu} on the CPU");
 }
