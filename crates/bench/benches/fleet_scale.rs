@@ -46,8 +46,8 @@ const POLICIES: [PoolPolicy; 3] =
 
 /// Wall-clock seconds elapsed while running `f` — the one deliberately
 /// nondeterministic probe; everything it times is bit-reproducible.
+#[expect(clippy::disallowed_types, reason = "self-benchmark measures real wall time")]
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    // dsa-lint: allow(nondeterminism, self-benchmark measures real wall time)
     let t0 = std::time::Instant::now();
     let out = f();
     (out, t0.elapsed().as_secs_f64())

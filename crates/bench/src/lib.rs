@@ -6,6 +6,9 @@
 //! shared measurement machinery; [`sweep`] the grid-shaped experiment
 //! builder most figure harnesses use; [`table`] the output formatting.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod measure;
 pub mod sweep;
 pub mod table;

@@ -186,8 +186,11 @@ impl Measure {
     /// # Panics
     ///
     /// Panics on non-retryable device errors (a bench-harness bug).
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking wrapper; try_run is the fallible path"
+    )]
     pub fn run(&self, rt: &mut DsaRuntime) -> MeasureResult {
-        // dsa-lint: allow(unwrap, documented panicking wrapper; try_run is the fallible path)
         self.try_run(rt).expect("measurement failed")
     }
 
@@ -345,11 +348,17 @@ impl OpSlots {
             OpKind::DifCheck | OpKind::DifStrip | OpKind::DifUpdate => {
                 // Pre-protect data so checks succeed.
                 let raw = vec![0x77u8; size as usize];
+                #[expect(
+                    clippy::expect_used,
+                    reason = "slot sizes are whole 512-byte blocks by construction"
+                )]
                 let protected = dsa_ops::dif::dif_insert(&DifConfig::new(DifBlockSize::B512), &raw)
-                    // dsa-lint: allow(unwrap, slot sizes are whole 512-byte blocks by construction)
                     .expect("whole blocks");
                 let h = rt.alloc(protected.len() as u64, src_loc);
-                // dsa-lint: allow(unwrap, handle was allocated by the runtime one line up)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "handle was allocated by the runtime one line up"
+                )]
                 rt.memory_mut().write(h.addr(), &protected).expect("mapped");
                 h
             }
@@ -392,9 +401,12 @@ pub fn multi_thread_copy_gbps(
         rt.set_now(cursor);
         let (src, dst) = &slots[(t * 2 + (done % 2) as usize) % slots.len()];
         let (dev, wq) = wq_of(t);
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panicking bench helper; a reject here is a harness bug"
+        )]
         queues[t]
             .submit(rt, Job::memcpy(src, dst).on_device(dev).on_wq(wq))
-            // dsa-lint: allow(unwrap, documented panicking bench helper; a reject here is a harness bug)
             .expect("submission failed");
         heap.push(Reverse((rt.now(), t, done + 1)));
     }

@@ -131,7 +131,10 @@ impl AccelConfig {
     ///
     /// Panics if no WQ has been added yet (a builder-usage bug).
     pub fn priority(mut self, priority: u8) -> AccelConfig {
-        // dsa-lint: allow(unwrap, documented panic on builder misuse (priority before any WQ))
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic on builder misuse (priority before any WQ)"
+        )]
         let last = self.wqs.len().checked_sub(1).expect("priority() before any WQ was added");
         self.wqs[last].priority = priority;
         self
@@ -156,23 +159,21 @@ impl AccelConfig {
 pub mod presets {
     use super::*;
 
-    /// One group, one engine, one dedicated 32-entry WQ (§4.1 baseline).
-    pub fn single_engine_dwq() -> DeviceConfig {
-        DeviceConfig::single_engine()
-    }
-
     /// One group with `engines` engines behind one dedicated WQ of
     /// `wq_size` entries (Figs. 4/7).
     ///
     /// # Panics
     ///
     /// Panics if the parameters violate device capabilities.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking preset; invalid parameters are a caller bug"
+    )]
     pub fn engines_behind_one_dwq(engines: u32, wq_size: u32) -> DeviceConfig {
         AccelConfig::builder()
             .group(engines)
             .dedicated_wq(wq_size)
             .build()
-            // dsa-lint: allow(unwrap, documented panicking preset; invalid parameters are a caller bug)
             .expect("preset within DSA 1.0 capabilities")
     }
 
@@ -182,23 +183,29 @@ pub mod presets {
     /// # Panics
     ///
     /// Panics if `n` exceeds the engine or WQ budget.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking preset; invalid parameters are a caller bug"
+    )]
     pub fn n_dwqs_n_engines(n: u32) -> DeviceConfig {
         let mut cfg = AccelConfig::builder();
         for _ in 0..n {
             cfg = cfg.group(1).dedicated_wq(128 / n.max(1));
         }
-        // dsa-lint: allow(unwrap, documented panicking preset; invalid parameters are a caller bug)
         cfg.build().expect("preset within DSA 1.0 capabilities")
     }
 
     /// One shared WQ behind one engine (Fig. 9 "SWQ: N" — N is the number
     /// of submitting threads, not a device property).
+    #[expect(
+        clippy::expect_used,
+        reason = "fixed-shape preset is always within DSA 1.0 capabilities"
+    )]
     pub fn one_swq_one_engine() -> DeviceConfig {
         AccelConfig::builder()
             .group(1)
             .shared_wq(32)
             .build()
-            // dsa-lint: allow(unwrap, fixed-shape preset is always within DSA 1.0 capabilities)
             .expect("preset within DSA 1.0 capabilities")
     }
 }
@@ -265,7 +272,6 @@ mod tests {
 
     #[test]
     fn presets_validate() {
-        presets::single_engine_dwq().validate(&DeviceCaps::dsa1()).unwrap();
         presets::engines_behind_one_dwq(4, 128).validate(&DeviceCaps::dsa1()).unwrap();
         presets::n_dwqs_n_engines(4).validate(&DeviceCaps::dsa1()).unwrap();
         presets::one_swq_one_engine().validate(&DeviceCaps::dsa1()).unwrap();

@@ -267,7 +267,7 @@ impl Dispatcher {
     /// offload, the record the device will have written on completion).
     fn execute(&mut self, rt: &mut DsaRuntime, job: Job) -> Result<CompletionRecord, DsaError> {
         let desc = job.descriptor();
-        let (op, bytes) = (desc.opcode.op_kind(), u64::from(desc.xfer_size));
+        let (op, bytes) = (desc.opcode().op_kind(), u64::from(desc.xfer_size()));
         let (src, dst) = rt.placements(desc);
         let decision = self.decide(rt, op, bytes, src, dst);
         self.note_decision(rt, decision, bytes);

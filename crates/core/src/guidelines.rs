@@ -5,7 +5,7 @@
 //! wins in the simulated system (and the `g*` ablation series in the
 //! benches show the margins).
 
-use dsa_device::config::DeviceConfig;
+use dsa_device::config::{DeviceCaps, DeviceConfig};
 use dsa_mem::topology::MediumParams;
 
 /// G1 — "Keep a balanced batch size and transfer size."
@@ -138,38 +138,37 @@ pub fn g6_wq_size() -> u32 {
 /// Builds a device configuration following G5+G6 for a workload described
 /// by its typical transfer size and submitter count.
 ///
-/// # Panics
-///
-/// Never panics for `threads >= 1` (the fallback is a shared WQ preset).
+/// Submitters that fit in the WQ budget each get a dedicated WQ. The WQs
+/// open one group each while the device's groups last and share them
+/// round-robin after that; G5's engine count is raised to one engine per
+/// group. More submitters than WQs share one WQ.
+#[expect(
+    clippy::expect_used,
+    reason = "both shapes fit DSA 1.0: at most 8 WQs sharing 128 entries, at most 4 groups and 4 engines"
+)]
 pub fn recommended_config(typical_transfer: u64, threads: u32) -> DeviceConfig {
     use crate::config::AccelConfig;
+    let caps = DeviceCaps::dsa1();
     let engines = g5_engines(typical_transfer);
-    match g6_wq_strategy(threads, 8) {
+    let cfg = match g6_wq_strategy(threads, caps.wqs) {
         WqStrategy::DedicatedPerThread { wqs } => {
+            let wqs = wqs.max(1);
+            let groups = wqs.min(caps.groups);
+            let engines = engines.max(groups).min(caps.engines);
             let mut cfg = AccelConfig::builder();
-            let per_group = (engines / wqs.max(1)).max(1);
-            let mut remaining = 4u32;
-            // Engines are a budget of 4: shrink groups if oversubscribed.
-            let size = (128 / wqs.max(1)).min(g6_wq_size().max(128 / wqs.max(1)));
-            for _ in 0..wqs {
-                let e = per_group.min(remaining.max(1));
-                remaining = remaining.saturating_sub(e);
-                cfg = cfg.group(e.max(1)).dedicated_wq(size.max(1));
+            for g in 0..groups {
+                cfg = cfg.group(engines / groups + u32::from(g < engines % groups));
             }
-            cfg.build().unwrap_or_else(|_| {
-                // Oversubscription fallback: all submitters share one WQ.
-                crate::config::presets::one_swq_one_engine()
-            })
+            for w in 0..wqs {
+                cfg = cfg.dedicated_wq_in(caps.wq_total_entries / wqs, (w % groups) as usize);
+            }
+            cfg
         }
         WqStrategy::SharedSingle => {
-            AccelConfig::builder()
-                .group(engines.min(4))
-                .shared_wq(g6_wq_size())
-                .build()
-                // dsa-lint: allow(unwrap, fixed-shape shared preset is always within capabilities)
-                .expect("shared preset is always valid")
+            AccelConfig::builder().group(engines.min(caps.engines)).shared_wq(g6_wq_size())
         }
-    }
+    };
+    cfg.build().expect("recommended shapes are within DSA 1.0 capabilities")
 }
 
 #[cfg(test)]
@@ -227,7 +226,6 @@ mod tests {
 
     #[test]
     fn recommended_configs_are_valid() {
-        use dsa_device::config::DeviceCaps;
         for (ts, threads) in [(1024u64, 1u32), (1024, 4), (1 << 20, 2), (4096, 32)] {
             let cfg = recommended_config(ts, threads);
             cfg.validate(&DeviceCaps::dsa1()).unwrap();

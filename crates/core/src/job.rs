@@ -337,7 +337,7 @@ impl Job {
             record: exec.record,
             device_timeline: exec.timeline,
             submit_end: rt.now(),
-            xfer_size: self.desc.xfer_size,
+            xfer_size: self.desc.xfer_size(),
         };
         Ok((handle, phases))
     }
@@ -449,7 +449,7 @@ fn exec_record(
     rt: &DsaRuntime,
 ) -> JobRecord {
     let mut r = device_record(kind, target, start, rt, &exec.timeline);
-    (r.desc.op, r.desc.xfer_size) = (desc.opcode.mnemonic(), desc.xfer_size);
+    (r.desc.op, r.desc.xfer_size) = (desc.opcode().mnemonic(), desc.xfer_size());
     (r.desc.pe, r.desc.seq) = (exec.pe, exec.seq);
     (r.wq_depth, r.engines_busy, r.engines) = (exec.wq_depth, exec.engines_busy, exec.engines);
     r
@@ -703,7 +703,7 @@ impl Batch {
     /// as PE-side work, member data movement as the memory hop).
     fn note_batch(&self, rt: &DsaRuntime, job_start: SimTime, exec: &BatchExecution) {
         let Some(hub) = rt.hub() else { return };
-        let bytes: u64 = self.descs.iter().map(|d| u64::from(d.xfer_size)).sum();
+        let bytes: u64 = self.descs.iter().map(|d| u64::from(d.xfer_size())).sum();
         let target = (self.device, self.wq);
         let mut r = device_record(RecordKind::Batch, target, job_start, rt, &exec.timeline);
         (r.desc.op, r.desc.xfer_size) = ("batch", u32::try_from(bytes).unwrap_or(u32::MAX));

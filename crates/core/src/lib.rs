@@ -40,6 +40,9 @@
 //! # Ok::<(), dsa_core::DsaError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod backend;
 pub mod config;
 pub mod digest;

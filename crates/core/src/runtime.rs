@@ -314,8 +314,9 @@ impl DsaRuntime {
     /// unmapped one defaults to local DRAM.
     pub(crate) fn placements(&self, desc: &Descriptor) -> (Location, Location) {
         let loc = |addr| self.memory.location_of(addr).unwrap_or(Location::local_dram());
-        let src = if desc.src == 0 { desc.dst } else { desc.src };
-        let dst = if desc.dst == 0 { desc.src } else { desc.dst };
+        let (s, d) = (desc.src(), desc.dst());
+        let src = if s == 0 { d } else { s };
+        let dst = if d == 0 { s } else { d };
         (loc(src), loc(dst))
     }
 
@@ -333,7 +334,7 @@ impl DsaRuntime {
             return (record, SimDuration::ZERO);
         }
         let (src, dst) = self.placements(desc);
-        let t = self.swcost.op_time(desc.opcode.op_kind(), u64::from(desc.xfer_size), src, dst);
+        let t = self.swcost.op_time(desc.opcode().op_kind(), u64::from(desc.xfer_size()), src, dst);
         self.now += t;
         (record, t)
     }

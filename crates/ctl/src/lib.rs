@@ -43,6 +43,9 @@
 //! # Ok::<(), dsa_core::DsaError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod candidates;
 pub mod controller;
 pub mod decision;

@@ -311,22 +311,67 @@ impl DescriptorError {
 impl std::error::Error for DescriptorError {}
 
 /// A 64-byte work descriptor.
+///
+/// The fields are private to this crate: a descriptor is built only by the
+/// typed constructors ([`Descriptor::memmove`], [`Descriptor::fill`], …)
+/// and changed only by the `with_*` builders, so every descriptor a submit
+/// path sees has the shape [`Descriptor::validate`] checks. Other crates
+/// read it through accessors. A struct literal does not compile outside
+/// this crate:
+///
+/// ```compile_fail,E0451
+/// use dsa_device::descriptor::OpParams;
+/// use dsa_device::{Descriptor, Flags, Opcode};
+/// let _ = (Flags::REQUEST_COMPLETION, OpParams::None, Opcode::Memmove);
+/// let d = Descriptor { opcode: Opcode::Memmove, flags: Flags::REQUEST_COMPLETION, src: 0x1000, dst: 0x2000, xfer_size: 64, completion_addr: 0, params: OpParams::None };
+/// assert_eq!(d.xfer_size(), 64);
+/// ```
+///
+/// while the same program with a constructor in that line does:
+///
+/// ```
+/// use dsa_device::descriptor::OpParams;
+/// use dsa_device::{Descriptor, Flags, Opcode};
+/// let _ = (Flags::REQUEST_COMPLETION, OpParams::None, Opcode::Memmove);
+/// let d = Descriptor::memmove(0x1000, 0x2000, 64);
+/// assert_eq!(d.xfer_size(), 64);
+/// ```
+///
+/// Nor can a field be edited after [`Descriptor::validate`] has passed:
+///
+/// ```compile_fail,E0616
+/// use dsa_device::{DeviceCaps, Descriptor};
+/// let mut d = Descriptor::memmove(0x1000, 0x2000, 4096);
+/// assert!(d.validate(&DeviceCaps::dsa1()).is_ok());
+/// d.xfer_size = u32::MAX;
+/// assert_eq!(d.src(), 0x1000);
+/// ```
+///
+/// A builder in that line goes through the same shape rules and compiles:
+///
+/// ```
+/// use dsa_device::{DeviceCaps, Descriptor};
+/// let mut d = Descriptor::memmove(0x1000, 0x2000, 4096);
+/// assert!(d.validate(&DeviceCaps::dsa1()).is_ok());
+/// d = d.with_completion_addr(0x3000);
+/// assert_eq!(d.src(), 0x1000);
+/// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Descriptor {
     /// Operation code.
-    pub opcode: Opcode,
+    pub(crate) opcode: Opcode,
     /// Flag bits.
-    pub flags: Flags,
+    pub(crate) flags: Flags,
     /// Source address (0 when unused).
-    pub src: u64,
+    pub(crate) src: u64,
     /// Destination address (0 when unused).
-    pub dst: u64,
+    pub(crate) dst: u64,
     /// Nominal transfer size in bytes.
-    pub xfer_size: u32,
+    pub(crate) xfer_size: u32,
     /// Completion record address (0 = none).
-    pub completion_addr: u64,
+    pub(crate) completion_addr: u64,
     /// Operation-specific fields.
-    pub params: OpParams,
+    pub(crate) params: OpParams,
 }
 
 impl Descriptor {
@@ -460,6 +505,26 @@ impl Descriptor {
     pub fn with_block_on_fault(mut self) -> Descriptor {
         self.flags = self.flags | Flags::BLOCK_ON_FAULT;
         self
+    }
+
+    /// Operation code.
+    pub fn opcode(&self) -> Opcode {
+        self.opcode
+    }
+
+    /// Source address (0 when unused).
+    pub fn src(&self) -> u64 {
+        self.src
+    }
+
+    /// Destination address (0 when unused).
+    pub fn dst(&self) -> u64 {
+        self.dst
+    }
+
+    /// Nominal transfer size in bytes.
+    pub fn xfer_size(&self) -> u32 {
+        self.xfer_size
     }
 
     /// Spec-conformance check for a *directly submitted* descriptor:
@@ -765,13 +830,13 @@ impl CompletionRecord {
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchDescriptor {
     /// Address of the descriptor array.
-    pub desc_list_addr: u64,
+    pub(crate) desc_list_addr: u64,
     /// Number of descriptors in the batch (must be >= 2 per the spec).
-    pub count: u32,
+    pub(crate) count: u32,
     /// Completion record address for the *batch* record.
-    pub completion_addr: u64,
+    pub(crate) completion_addr: u64,
     /// Flags applied to the batch submission itself.
-    pub flags: Flags,
+    pub(crate) flags: Flags,
 }
 
 impl BatchDescriptor {
@@ -1093,5 +1158,97 @@ mod record_wire_tests {
         let mut b = [0u8; 32];
         b[0] = 0x7F;
         assert!(CompletionRecord::from_bytes(&b).is_none());
+    }
+}
+
+#[cfg(test)]
+mod wire_format {
+    use super::*;
+    use dsa_ops::dif::{DifBlockSize, DifConfig};
+    use dsa_sim::rng::SplitMix64;
+
+    const OPCODES: [Opcode; 16] = [
+        Opcode::Nop,
+        Opcode::Drain,
+        Opcode::Memmove,
+        Opcode::Fill,
+        Opcode::Compare,
+        Opcode::ComparePattern,
+        Opcode::CreateDelta,
+        Opcode::ApplyDelta,
+        Opcode::Dualcast,
+        Opcode::CrcGen,
+        Opcode::CopyCrc,
+        Opcode::DifCheck,
+        Opcode::DifInsert,
+        Opcode::DifStrip,
+        Opcode::DifUpdate,
+        Opcode::CacheFlush,
+    ];
+
+    fn params_for(op: Opcode, seed: u64) -> OpParams {
+        match op {
+            Opcode::Fill | Opcode::ComparePattern => OpParams::Pattern(seed),
+            Opcode::Dualcast => OpParams::Dest2(seed),
+            Opcode::CrcGen | Opcode::CopyCrc => OpParams::CrcSeed(seed as u32),
+            Opcode::CreateDelta | Opcode::ApplyDelta => {
+                OpParams::Delta { record_addr: seed, max_size: (seed >> 32) as u32 }
+            }
+            Opcode::DifCheck | Opcode::DifInsert | Opcode::DifStrip | Opcode::DifUpdate => {
+                let block = match seed % 4 {
+                    0 => DifBlockSize::B512,
+                    1 => DifBlockSize::B520,
+                    2 => DifBlockSize::B4096,
+                    _ => DifBlockSize::B4104,
+                };
+                OpParams::Dif(DifConfig {
+                    block,
+                    app_tag: (seed >> 8) as u16,
+                    starting_ref_tag: (seed >> 16) as u32,
+                })
+            }
+            _ => OpParams::None,
+        }
+    }
+
+    #[test]
+    fn descriptor_wire_roundtrip() {
+        let mut rng = SplitMix64::new(0xDE7_0007);
+        for _ in 0..256 {
+            let op = OPCODES[rng.next_below(OPCODES.len() as u64) as usize];
+            let flag_bits = rng.next_below(32) as u32;
+            let seed = rng.next_u64();
+            let mut flags = Flags::empty();
+            for bit in 0..5 {
+                if flag_bits & (1 << bit) != 0 {
+                    flags = flags
+                        | [
+                            Flags::FENCE,
+                            Flags::BLOCK_ON_FAULT,
+                            Flags::REQUEST_COMPLETION,
+                            Flags::CACHE_CONTROL,
+                            Flags::COMPLETION_INTERRUPT,
+                        ][bit];
+                }
+            }
+            let d = Descriptor {
+                opcode: op,
+                flags,
+                src: rng.next_u64(),
+                dst: rng.next_u64(),
+                xfer_size: rng.next_u64() as u32,
+                completion_addr: rng.next_u64(),
+                params: params_for(op, seed),
+            };
+            let parsed = Descriptor::from_bytes(&d.to_bytes()).expect("valid opcode");
+            assert_eq!(parsed, d);
+        }
+    }
+
+    #[test]
+    fn unknown_opcode_rejected() {
+        let mut b = [0u8; 64];
+        b[4] = 0x7E;
+        assert!(Descriptor::from_bytes(&b).is_none());
     }
 }

@@ -225,13 +225,16 @@ impl DsaDevice {
     ///
     /// Panics if `config` fails validation; [`try_with_timing`]
     /// (Self::try_with_timing) is the fallible path.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panicking constructor; try_with_timing is the fallible path"
+    )]
     pub fn with_timing(
         id: u16,
         config: DeviceConfig,
         platform: &Platform,
         timing: DsaTiming,
     ) -> DsaDevice {
-        // dsa-lint: allow(unwrap, documented panicking constructor; try_with_timing is the fallible path)
         Self::try_with_timing(id, config, platform, timing).expect("invalid device configuration")
     }
 

@@ -39,6 +39,9 @@
 //! assert_eq!(memory.read(dst.addr(), 4096).unwrap()[0], 0xAB);
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod cbdma;
 pub mod config;
 pub mod descriptor;

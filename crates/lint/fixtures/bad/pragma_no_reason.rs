@@ -1,5 +1,5 @@
 // Fixture: a reasonless pragma still suppresses, but is itself flagged.
-fn lookup(table: Option<u64>) -> u64 {
-    // dsa-lint: allow(unwrap)
-    table.unwrap()
+fn nanos(ns_f64: f64) -> u64 {
+    // dsa-lint: allow(float-cast)
+    ns_f64 as u64
 }

@@ -1,4 +1,5 @@
-// Fixture: R1 must flag unordered hash containers in the deterministic core.
+// Fixture: R1 — clippy's disallowed_types must flag unordered hash
+// containers.
 use std::collections::HashMap;
 use std::collections::HashSet;
 

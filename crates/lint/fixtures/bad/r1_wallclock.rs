@@ -1,4 +1,5 @@
-// Fixture: R1 must flag wall-clock time sources and OS threads.
+// Fixture: R1 — clippy's disallowed_types and disallowed_methods must flag
+// wall-clock time sources and OS threads.
 use std::time::Instant;
 use std::time::SystemTime;
 

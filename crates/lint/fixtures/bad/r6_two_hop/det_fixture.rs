@@ -1,15 +1,14 @@
-//! R6 two-hop corpus, hop 0 — linted as `crates/sim/src/det_fixture.rs`.
+//! R6 two-hop corpus, hop 0: a simulation entry point.
 //!
-//! This det-core entry point is lexically spotless: no wall clocks, no
-//! hash containers, nothing R1 can object to. The nondeterminism is two
-//! calls away, laundered through a helper in a crate the lexical
-//! hash-container scope never covers. Only the call-graph taint pass can
-//! see it from here.
+//! Spotless itself: no wall clocks, no hash containers. The
+//! nondeterminism is two calls away, in `leaf_hash`. Clippy does not
+//! follow the calls; it bans the source in every crate, so no simulation
+//! function can reach one.
 
-use dsa_workloads::relay_fixture::relay_delay;
+use super::relay_fixture::relay_delay;
 
-/// Picks the next event delay. R6 must flag this function with a chain
-/// through `relay_delay` to the hash-iterating leaf.
+/// Picks the next event delay, through `relay_delay`, from the
+/// hash-iterating leaf.
 pub fn schedule_next(seed: u64) -> u64 {
     relay_delay(seed)
 }

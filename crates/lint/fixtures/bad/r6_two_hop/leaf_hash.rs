@@ -1,12 +1,6 @@
-//! R6 two-hop corpus, hop 2 (the source) — linted as
-//! `crates/telemetry/src/leaf_hash.rs`.
-//!
-//! Iterates a `HashMap`. Lexical R1 *permits* this here: the telemetry
-//! crate (outside `causal.rs`) is not in the det-core hash-container
-//! scope, and that is correct as a lexical policy — presentation code may
-//! use hash maps. The hole is reachability: a det-core function calling
-//! into this picks up iteration-order dependence, which is exactly what
-//! R6's graph taint closes.
+//! R6 two-hop corpus, hop 2, the source: iterates a `HashMap`. dsa-lint
+//! allowed this outside the simulation core and needed a call graph to
+//! see a simulation function reach it; `disallowed_types` flags it here.
 
 use std::collections::HashMap;
 

@@ -1,14 +1,9 @@
-//! R6 two-hop corpus, hop 1 — linted as
-//! `crates/workloads/src/relay_fixture.rs`.
-//!
-//! The middle of the laundering chain: a perfectly innocent-looking
-//! workloads helper that forwards to the telemetry leaf. Nothing here is
-//! a source either — the point is that taint flows *through* it.
+//! R6 two-hop corpus, hop 1: an innocent-looking helper that forwards to
+//! the leaf. Nothing here is a source; it must stay silent.
 
-use dsa_telemetry::leaf_hash::coarse_stamp;
+use super::leaf_hash::coarse_stamp;
 
-/// Forwards to the leaf; tainted transitively, but outside the det-core
-/// scope, so R6 reports the sim-side caller, not this.
+/// Forwards to the leaf.
 pub fn relay_delay(seed: u64) -> u64 {
     coarse_stamp(seed) | 1
 }

@@ -1,18 +1,16 @@
-//! R8 transitive-reach corpus, shard side — linted as
-//! `crates/svc/src/actionq.rs`. The file itself is lexically clean: no
+//! R8 transitive-reach corpus, shard side. The file itself is clean: no
 //! `Rc`, no `static mut`, nothing the lexical ban list can see. But
-//! `step` calls a workloads helper that bumps a process-global counter,
-//! so two queues on different shards would race through it. Only the
-//! call-graph pass catches this.
+//! `step` calls helpers that keep process-global state, which the helper
+//! side's lints catch at the source.
 
-use dsa_workloads::counter_fixture::bump_global;
+use super::counter_fixture::{bump_global, bump_local};
 
-/// A shard engine that launders global state through a helper crate.
+/// A shard engine that reaches global state through helpers.
 pub struct Engine;
 
 impl Engine {
-    /// Must be flagged: reaches `CALLS` via `bump_global`.
+    /// Reaches `CALLS` and `LOCAL_CALLS` through the helpers.
     pub fn step(&mut self) -> u64 {
-        bump_global()
+        bump_global() + bump_local()
     }
 }

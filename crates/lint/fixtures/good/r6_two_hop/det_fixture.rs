@@ -1,10 +1,9 @@
-//! Good twin of the R6 two-hop corpus, hop 0 — linted as
-//! `crates/sim/src/det_fixture.rs`. Same shape as the bad chain; the leaf
-//! is deterministic, so no taint reaches here.
+//! Good twin of the R6 two-hop corpus, hop 0. Same shape as the bad
+//! chain; the leaf is deterministic.
 
-use dsa_workloads::relay_fixture::relay_delay;
+use super::relay_fixture::relay_delay;
 
-/// Same entry point as the bad corpus; must stay silent under R6.
+/// Same entry point as the bad corpus; must stay silent.
 pub fn schedule_next(seed: u64) -> u64 {
     relay_delay(seed)
 }

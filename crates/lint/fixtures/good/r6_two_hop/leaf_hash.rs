@@ -1,7 +1,5 @@
-//! Good twin of the R6 two-hop corpus, hop 2 — linted as
-//! `crates/telemetry/src/leaf_hash.rs`. Identical fold, but over a
-//! `BTreeMap`, whose iteration order is defined. No source, no taint,
-//! and the whole chain stays clean.
+//! Good twin of the R6 two-hop corpus, hop 2. Identical fold, but over a
+//! `BTreeMap`, whose iteration order is defined.
 
 use std::collections::BTreeMap;
 

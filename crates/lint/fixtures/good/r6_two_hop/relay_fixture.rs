@@ -1,9 +1,8 @@
-//! Good twin of the R6 two-hop corpus, hop 1 — linted as
-//! `crates/workloads/src/relay_fixture.rs`.
+//! Good twin of the R6 two-hop corpus, hop 1.
 
-use dsa_telemetry::leaf_hash::coarse_stamp;
+use super::leaf_hash::coarse_stamp;
 
-/// Forwards to the ordered leaf; carries no taint.
+/// Forwards to the ordered leaf.
 pub fn relay_delay(seed: u64) -> u64 {
     coarse_stamp(seed) | 1
 }

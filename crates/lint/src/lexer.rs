@@ -5,7 +5,7 @@
 //! needs and nothing more:
 //!
 //! * string literals (plain, raw, byte, byte-raw) and char literals are
-//!   consumed whole, so `"unwrap()"` inside a string never triggers a rule;
+//!   consumed whole, so `"Vec::new()"` inside a string never triggers a rule;
 //! * lifetimes (`'a`, `'static`) are distinguished from char literals;
 //! * line and block comments (nested, as Rust's are) are stripped from the
 //!   token stream but scanned for `dsa-lint:` pragmas;
@@ -16,7 +16,7 @@
 /// What a token is, as far as the rules care.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokenKind {
-    /// Identifier or keyword (`unwrap`, `as`, `Instant`, …).
+    /// Identifier or keyword (`as`, `static`, `Rc`, …).
     Ident,
     /// Numeric literal.
     Number,

@@ -1,26 +1,30 @@
 //! # dsa-lint
 //!
-//! A dependency-free static-analysis tool for this workspace. It enforces
-//! the invariants the DSA reproduction's results rest on — deterministic
-//! simulation and spec-legal descriptors — as machine-checked lint rules:
+//! A dependency-free, per-file lexical checker for the rules of this
+//! workspace that rustc and clippy cannot state:
 //!
 //! | rule | name | checks |
 //! |------|------|--------|
-//! | R1 | `nondeterminism` | no `std::time::Instant`/`SystemTime`, no `thread::spawn`; no `HashMap`/`HashSet` in the det-core scope |
-//! | R2 | `unwrap` | no `.unwrap()`/`.expect()` in library non-test code |
 //! | R3 | `float-cast` | no float↔int `as` casts in timeline arithmetic outside `sim::time` |
-//! | R4 | `raw-descriptor` | no raw `Descriptor { .. }` literals bypassing `Descriptor::validate()` |
 //! | R5 | `hot-alloc` | no `Box::new`/`Vec::new`/`vec![..]`/`.to_vec()`/`.clone()` in the designated hot-path modules |
-//! | R6 | `det-taint` | no det-core function may *transitively* reach a nondeterminism source through the call graph |
 //! | R7 | `unit-consistency` | no ps/byte mixing and no raw literals across ps boundaries in timeline math |
-//! | R8 | `shard-isolation` | no shared-mutable-state constructs in (or reachable from) the ROADMAP-item-1 shard modules |
+//! | R8 | `shard-isolation` | no shared-mutable-state constructs in the fleet's shard modules |
 //!
-//! R1–R5 and R7 plus R8's lexical half are per-file token scans
-//! ([`rules`]). R6 and R8's transitive half are *workspace* rules: a
-//! resolution pass ([`resolve`]) builds a symbol table, [`callgraph`]
-//! links call sites across crates, and taint propagates over the reversed
-//! edges. Rule scopes are data, not code: `crates/lint/scopes.toml`,
-//! parsed by [`scopes`].
+//! Each rule is a token scan over one file ([`rules`]). Rule scopes are
+//! data, not code: `crates/lint/scopes.toml`, parsed by [`scopes`].
+//!
+//! The other rules are stated where the compiler checks them:
+//!
+//! * R1 `nondeterminism` and R6 `det-taint`: `crates/clippy.toml` bans
+//!   wall clocks, hash containers, `RandomState` and `thread::spawn` in
+//!   every crate, so no simulation function can reach one;
+//! * R2 `unwrap`: `#![deny(clippy::unwrap_used, clippy::expect_used)]` on
+//!   every library and binary root, with reasoned `#[expect]`s;
+//! * R4 `raw-descriptor`: `Descriptor`'s fields are private to
+//!   `dsa-device`, so a literal or a field edit elsewhere does not compile;
+//! * R8's reach into global state: `#![forbid(unsafe_code)]` on every crate
+//!   root (a `static mut` needs `unsafe`) and `disallowed-macros` for
+//!   `thread_local!`.
 //!
 //! Exceptions are documented inline with `// dsa-lint: allow(rule, reason)`.
 //! See `crates/lint/RULES.md` for the full rationale.
@@ -29,9 +33,10 @@
 //! Cargo.lock stays dependency-free), so parsing is done by a hand-rolled
 //! lexer in [`lexer`] rather than `syn`.
 
-pub mod callgraph;
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod lexer;
-pub mod resolve;
 pub mod rules;
 pub mod scopes;
 
@@ -40,40 +45,25 @@ pub use rules::{check_file, Violation, RULES};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Directories never descended into during the workspace walk.
-const SKIP_DIRS: &[&str] = &["target", "fixtures"];
-
-/// Lints a set of in-memory files (workspace-relative path + source) as
-/// one workspace: every per-file rule runs on each file, then the
-/// resolution pass builds the cross-file call graph and the workspace
-/// rules (R6 `det-taint`, R8's transitive half) run over it. Returns
-/// violations sorted by file and line.
-pub fn check_files(files: &[(String, String)]) -> Vec<Violation> {
-    let lexed: Vec<(String, lexer::Lexed)> =
-        files.iter().map(|(path, source)| (path.clone(), lexer::lex(source))).collect();
-    let mut out = Vec::new();
-    for (path, lex) in &lexed {
-        out.extend(rules::check_lexed(path, lex));
-    }
-    out.extend(callgraph::check_workspace(&lexed));
-    out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)).then(a.rule.cmp(b.rule)));
-    out
-}
+/// Directories never descended into during the workspace walk. `dsa-e2e`
+/// is a cargo workspace of its own, checked by its own clippy step.
+const SKIP_DIRS: &[&str] = &["target", "fixtures", "dsa-e2e"];
 
 /// Lints every `.rs` file under `root` (skipping `target/`, hidden
-/// directories, and lint fixture corpora). Returns violations sorted by
-/// file and line.
+/// directories, lint fixture corpora and `dsa-e2e/`). Returns violations
+/// sorted by file and line.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let mut paths = Vec::new();
     collect_rs(root, Path::new(""), &mut paths)?;
     paths.sort();
-    let mut files = Vec::with_capacity(paths.len());
+    let mut out = Vec::new();
     for rel in paths {
         let source = std::fs::read_to_string(root.join(&rel))?;
         let rel_str = rel.to_string_lossy().replace('\\', "/");
-        files.push((rel_str, source));
+        out.extend(check_file(&rel_str, &source));
     }
-    Ok(check_files(&files))
+    out.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)).then(a.rule.cmp(b.rule)));
+    Ok(out)
 }
 
 fn collect_rs(root: &Path, rel: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {

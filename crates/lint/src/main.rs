@@ -7,6 +7,9 @@
 //! cargo run -p dsa-lint -- --root P  # lint a different workspace root
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -47,7 +50,7 @@ fn main() -> ExitCode {
             },
             "-h" | "--help" => {
                 println!(
-                    "dsa-lint: workspace determinism + DSA-spec conformance linter\n\
+                    "dsa-lint: timeline-math, hot-path and shard-state checks clippy cannot state\n\
                      \n\
                      usage: dsa-lint [--deny] [--json] [--root PATH]\n\
                      \n\

@@ -2,25 +2,21 @@
 //!
 //! Each rule walks the token stream produced by [`crate::lexer`] and emits
 //! [`Violation`]s. Rules are scoped by workspace-relative path (e.g. the
-//! hash-container rule only applies to `crates/{sim,device,core,svc}/src`), and
-//! violations inside `#[cfg(test)]` / `#[test]` regions are masked where the
-//! rule only governs production code.
+//! float-cast rule only applies to the `timeline-math` scope), and
+//! violations inside `#[cfg(test)]` / `#[test]` regions are masked, since
+//! every rule governs production code only.
 //!
 //! See `crates/lint/RULES.md` for the rationale behind each rule.
 
-use crate::lexer::{lex, Lexed, Token, TokenKind};
+use crate::lexer::{lex, Token, TokenKind};
 use std::collections::BTreeSet;
 
 /// Canonical rule names, in severity-agnostic display order.
 pub const RULES: &[&str] = &[
-    "nondeterminism",   // R1
-    "unwrap",           // R2
     "float-cast",       // R3
-    "raw-descriptor",   // R4
     "hot-alloc",        // R5
-    "det-taint",        // R6 (interprocedural, see crate::callgraph)
     "unit-consistency", // R7
-    "shard-isolation",  // R8 (lexical half here; transitive half in callgraph)
+    "shard-isolation",  // R8
     "pragma",           // pragma hygiene
 ];
 
@@ -43,16 +39,12 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Maps a pragma's rule argument (canonical name or `r1`..`r8` shorthand)
-/// to the canonical name, or `None` if unknown.
+/// Maps a pragma's rule argument (canonical name or `rN` shorthand) to the
+/// canonical name, or `None` if unknown.
 fn canonical_rule(name: &str) -> Option<&'static str> {
     match name {
-        "r1" | "nondeterminism" => Some("nondeterminism"),
-        "r2" | "unwrap" => Some("unwrap"),
         "r3" | "float-cast" => Some("float-cast"),
-        "r4" | "raw-descriptor" => Some("raw-descriptor"),
         "r5" | "hot-alloc" => Some("hot-alloc"),
-        "r6" | "det-taint" => Some("det-taint"),
         "r7" | "unit-consistency" => Some("unit-consistency"),
         "r8" | "shard-isolation" => Some("shard-isolation"),
         "pragma" => Some("pragma"),
@@ -61,25 +53,16 @@ fn canonical_rule(name: &str) -> Option<&'static str> {
 }
 
 /// True if a pragma in `pragmas` suppresses `rule` at `line` (a pragma
-/// covers its own line and the line directly below). Shared between the
-/// per-file engine and the workspace (call-graph) rules.
-pub(crate) fn suppressed(pragmas: &[crate::lexer::Pragma], rule: &'static str, line: u32) -> bool {
+/// covers its own line and the line directly below).
+fn suppressed(pragmas: &[crate::lexer::Pragma], rule: &'static str, line: u32) -> bool {
     pragmas
         .iter()
         .any(|p| canonical_rule(&p.rule) == Some(rule) && (p.line == line || p.line + 1 == line))
 }
 
-/// True for files in the deterministic-simulation core, where the strictest
-/// rules (hash containers, det-taint) apply. The member list lives in
-/// `crates/lint/scopes.toml` (`[det-core]`) — rule scope is data, not code.
-fn in_det_core(path: &str) -> bool {
-    crate::scopes::Scopes::builtin().in_scope("det-core", path)
-}
-
 /// True for files doing integer-picosecond timeline arithmetic, where R3
-/// (float-cast) and R7 (unit-consistency) apply. Wider than det-core: it
-/// pulls in `crates/mem/src`, whose link math converts bytes to
-/// picoseconds. `sim/src/time.rs` is carved out — it is the sanctioned
+/// (float-cast) and R7 (unit-consistency) apply. It includes
+/// `crates/mem/src`, whose link math converts bytes to picoseconds. `sim/src/time.rs` is carved out — it is the sanctioned
 /// home for conversions. See `[timeline-math]` in `crates/lint/scopes.toml`.
 fn in_timeline_math(path: &str) -> bool {
     crate::scopes::Scopes::builtin().in_scope("timeline-math", path)
@@ -102,47 +85,22 @@ fn in_shard_scope(path: &str) -> bool {
     crate::scopes::Scopes::builtin().in_scope("shard-isolation", path)
 }
 
-/// True for library source (any crate's `src/`, including the root package).
-fn is_lib_src(path: &str) -> bool {
-    if path.starts_with("src/") {
-        return true;
-    }
-    path.starts_with("crates/") && path.contains("/src/")
-}
-
-/// True for integration-test files, which are exempt from production rules.
-fn is_test_file(path: &str) -> bool {
-    path.starts_with("tests/") || path.contains("/tests/")
-}
-
 /// Lints one file given its workspace-relative path and source text.
 pub fn check_file(path: &str, source: &str) -> Vec<Violation> {
     let lexed = lex(source);
-    check_lexed(path, &lexed)
-}
-
-/// Lints an already-lexed file (exposed for fixture tests).
-pub fn check_lexed(path: &str, lexed: &Lexed) -> Vec<Violation> {
     let tokens = &lexed.tokens;
     let test_lines = test_line_set(tokens);
     let mut raw: Vec<Violation> = Vec::new();
 
-    if !is_test_file(path) {
-        rule_nondeterminism(path, tokens, &test_lines, &mut raw);
-        if is_lib_src(path) {
-            rule_unwrap(path, tokens, &test_lines, &mut raw);
-            rule_raw_descriptor(path, tokens, &test_lines, &mut raw);
-        }
-        if in_timeline_math(path) {
-            rule_float_cast(path, tokens, &test_lines, &mut raw);
-            rule_unit_consistency(path, tokens, &test_lines, &mut raw);
-        }
-        if in_hot_path(path) {
-            rule_hot_alloc(path, tokens, &test_lines, &mut raw);
-        }
-        if in_shard_scope(path) {
-            rule_shard_isolation(path, tokens, &test_lines, &mut raw);
-        }
+    if in_timeline_math(path) {
+        rule_float_cast(path, tokens, &test_lines, &mut raw);
+        rule_unit_consistency(path, tokens, &test_lines, &mut raw);
+    }
+    if in_hot_path(path) {
+        rule_hot_alloc(path, tokens, &test_lines, &mut raw);
+    }
+    if in_shard_scope(path) {
+        rule_shard_isolation(path, tokens, &test_lines, &mut raw);
     }
 
     // Pragma hygiene: every allow() needs a known rule and a reason.
@@ -176,9 +134,8 @@ pub fn check_lexed(path: &str, lexed: &Lexed) -> Vec<Violation> {
 }
 
 /// Computes the set of source lines covered by `#[cfg(test)]` / `#[test]`
-/// items, by brace-matching the item that follows the attribute. Also used
-/// by the resolver to mark test functions out of the call graph.
-pub(crate) fn test_line_set(tokens: &[Token]) -> BTreeSet<u32> {
+/// items, by brace-matching the item that follows the attribute.
+fn test_line_set(tokens: &[Token]) -> BTreeSet<u32> {
     let mut set = BTreeSet::new();
     let mut i = 0;
     while i < tokens.len() {
@@ -249,92 +206,6 @@ fn flag(
     message: impl Into<String>,
 ) {
     out.push(Violation { file: path.to_string(), line, rule, message: message.into() });
-}
-
-/// R1: wall clocks, OS threads, and (in the deterministic core) unordered
-/// hash containers.
-fn rule_nondeterminism(
-    path: &str,
-    tokens: &[Token],
-    test_lines: &BTreeSet<u32>,
-    out: &mut Vec<Violation>,
-) {
-    let hash_scope = in_det_core(path);
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident || test_lines.contains(&t.line) {
-            continue;
-        }
-        let prev_is = |offset: usize, s: &str| i >= offset && tokens[i - offset].text == s;
-        let next_is = |offset: usize, s: &str| tokens.get(i + offset).is_some_and(|t| t.text == s);
-        match t.text.as_str() {
-            "SystemTime" => flag(
-                out,
-                path,
-                t.line,
-                "nondeterminism",
-                "std::time::SystemTime is wall-clock; derive timestamps from SimClock",
-            ),
-            // Only flag `Instant` when it is demonstrably std::time::Instant
-            // (`time::Instant` or `Instant::now`) — the telemetry crate has
-            // an unrelated `Instant` event variant.
-            "Instant" => {
-                let from_time = prev_is(1, "::") && prev_is(2, "time");
-                let to_now = next_is(1, "::") && next_is(2, "now");
-                if from_time || to_now {
-                    flag(
-                        out,
-                        path,
-                        t.line,
-                        "nondeterminism",
-                        "std::time::Instant is wall-clock; use SimClock / SwCost timings",
-                    );
-                }
-            }
-            "spawn" if prev_is(1, "::") && prev_is(2, "thread") => flag(
-                out,
-                path,
-                t.line,
-                "nondeterminism",
-                "thread::spawn makes scheduling nondeterministic; model \
-                 concurrency on the sim timeline",
-            ),
-            "HashMap" | "HashSet" if hash_scope => flag(
-                out,
-                path,
-                t.line,
-                "nondeterminism",
-                format!(
-                    "{} iteration order is unordered; use BTreeMap/BTreeSet in \
-                     the deterministic core",
-                    t.text
-                ),
-            ),
-            _ => {}
-        }
-    }
-}
-
-/// R2: no `.unwrap()` / `.expect(..)` in library non-test code.
-fn rule_unwrap(path: &str, tokens: &[Token], test_lines: &BTreeSet<u32>, out: &mut Vec<Violation>) {
-    for (i, t) in tokens.iter().enumerate() {
-        if test_lines.contains(&t.line) {
-            continue;
-        }
-        if !(t.is_ident("unwrap") || t.is_ident("expect")) {
-            continue;
-        }
-        let prev_dot = i > 0 && tokens[i - 1].is_punct(".");
-        let next_paren = tokens.get(i + 1).is_some_and(|t| t.is_punct("("));
-        if prev_dot && next_paren {
-            flag(
-                out,
-                path,
-                t.line,
-                "unwrap",
-                format!(".{}() panics; return DsaError (or document with a pragma)", t.text),
-            );
-        }
-    }
 }
 
 const INT_TYPES: &[&str] =
@@ -639,8 +510,7 @@ fn rule_unit_consistency(
 /// included) outright; `Rc`/`RefCell` make the
 /// types `!Send`, interior mutability hides writes from the
 /// one-owner-per-shard story, and `static mut` / `thread_local!` /
-/// atomics are process-global by construction. The transitive half
-/// (reaching global state through calls) lives in `crate::callgraph`.
+/// atomics are process-global by construction.
 fn rule_shard_isolation(
     path: &str,
     tokens: &[Token],
@@ -696,104 +566,12 @@ fn rule_shard_isolation(
     }
 }
 
-/// Tokens that, when immediately preceding `Descriptor {`, mean the brace
-/// opens an item body or impl block rather than a struct literal.
-const TYPE_POSITION_PREV: &[&str] = &["impl", "for", "struct", "enum", "trait", "mod", "dyn", "->"];
-
-/// R4: raw `Descriptor { .. }` / `BatchDescriptor { .. }` struct literals
-/// bypass `Descriptor::validate()`; construction must go through the
-/// `crates/device` constructors (which the validator covers).
-fn rule_raw_descriptor(
-    path: &str,
-    tokens: &[Token],
-    test_lines: &BTreeSet<u32>,
-    out: &mut Vec<Violation>,
-) {
-    if path == "crates/device/src/descriptor.rs" {
-        return; // the constructors themselves live here
-    }
-    for (i, t) in tokens.iter().enumerate() {
-        if test_lines.contains(&t.line) {
-            continue;
-        }
-        if !(t.is_ident("Descriptor") || t.is_ident("BatchDescriptor")) {
-            continue;
-        }
-        if !tokens.get(i + 1).is_some_and(|n| n.is_punct("{")) {
-            continue;
-        }
-        // Walk back over `&`/`&&`/`mut` so `-> &Descriptor {` and
-        // `-> &mut Descriptor {` read as type positions, not literals.
-        let mut p = i;
-        while p > 0 && matches!(tokens[p - 1].text.as_str(), "&" | "&&" | "mut") {
-            p -= 1;
-        }
-        let type_position = p > 0 && TYPE_POSITION_PREV.contains(&tokens[p - 1].text.as_str());
-        if !type_position {
-            flag(
-                out,
-                path,
-                t.line,
-                "raw-descriptor",
-                format!(
-                    "raw `{} {{ .. }}` literal bypasses Descriptor::validate(); \
-                     use a dsa_device constructor",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn lint(path: &str, src: &str) -> Vec<Violation> {
         check_file(path, src)
-    }
-
-    #[test]
-    fn r1_flags_wall_clock_and_threads() {
-        let src = "use std::time::Instant;\nfn f() { let t = Instant::now(); \
-                   std::thread::spawn(|| {}); }\n";
-        let v = lint("crates/bench/src/x.rs", src);
-        assert_eq!(v.iter().filter(|v| v.rule == "nondeterminism").count(), 3);
-    }
-
-    #[test]
-    fn r1_ignores_unrelated_instant_variant() {
-        let src = "enum Event { Instant { name: u32 } }\nfn f(e: Event) { \
-                   if let Event::Instant { name } = e { let _ = name; } }\n";
-        let v = lint("crates/telemetry/src/x.rs", src);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn r1_hash_containers_only_in_det_core() {
-        let src = "use std::collections::HashMap;\n";
-        assert_eq!(lint("crates/core/src/x.rs", src).len(), 1);
-        assert_eq!(lint("crates/svc/src/x.rs", src).len(), 1);
-        // The causal module is the one telemetry file inside the scope.
-        assert_eq!(lint("crates/telemetry/src/causal.rs", src).len(), 1);
-        assert!(lint("crates/telemetry/src/x.rs", src).is_empty());
-        assert!(lint("crates/telemetry/src/hub.rs", src).is_empty());
-    }
-
-    #[test]
-    fn r2_flags_unwrap_but_not_in_tests() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n\
-                   #[cfg(test)]\nmod tests {\n  fn g(x: Option<u32>) -> u32 { x.unwrap() }\n}\n";
-        let v = lint("crates/core/src/x.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "unwrap");
-        assert_eq!(v[0].line, 1);
-    }
-
-    #[test]
-    fn r2_ignores_unwrap_or_family() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0).max(x.unwrap_or_default()) }\n";
-        assert!(lint("crates/core/src/x.rs", src).is_empty());
     }
 
     #[test]
@@ -810,27 +588,6 @@ mod tests {
         let float = "fn f(b: u64) -> u64 { (b as f64 * 1.5) as u64 }\n";
         assert!(lint("crates/sim/src/time.rs", float).is_empty());
         assert!(lint("crates/workloads/src/x.rs", float).is_empty());
-    }
-
-    #[test]
-    fn r4_flags_literals_not_type_positions() {
-        let literal = "fn f() -> Descriptor { Descriptor { opcode: 0 } }\n";
-        let v = lint("crates/core/src/x.rs", literal);
-        assert_eq!(v.iter().filter(|v| v.rule == "raw-descriptor").count(), 1);
-        let ty = "impl Descriptor { fn g() {} }\n";
-        assert!(lint("crates/core/src/x.rs", ty).is_empty());
-    }
-
-    #[test]
-    fn r4_reference_return_types_are_type_positions() {
-        let by_ref = "impl Job { pub fn descriptor(&self) -> &Descriptor { &self.desc } }\n";
-        assert!(lint("crates/core/src/x.rs", by_ref).is_empty());
-        let by_mut = "fn g(j: &mut Job) -> &mut Descriptor { &mut j.desc }\n";
-        assert!(lint("crates/core/src/x.rs", by_mut).is_empty());
-        // Taking a reference *to a literal* is still a literal.
-        let ref_literal = "fn h() { let d = &Descriptor { opcode: 0 }; }\n";
-        let v = lint("crates/core/src/x.rs", ref_literal);
-        assert_eq!(v.iter().filter(|v| v.rule == "raw-descriptor").count(), 1);
     }
 
     #[test]
@@ -868,11 +625,11 @@ mod tests {
 
     #[test]
     fn pragmas_suppress_with_reason_and_flag_without() {
-        let with = "// dsa-lint: allow(unwrap, poisoned mutex is fatal)\n\
-                    fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        let with = "// dsa-lint: allow(float-cast, a rank, not a time)\n\
+                    fn f(n: u64) -> u64 { (n as f64 * 0.99) as u64 }\n";
         assert!(lint("crates/core/src/x.rs", with).is_empty());
-        let without = "// dsa-lint: allow(unwrap)\n\
-                       fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
+        let without = "// dsa-lint: allow(float-cast)\n\
+                       fn f(n: u64) -> u64 { (n as f64 * 0.99) as u64 }\n";
         let v = lint("crates/core/src/x.rs", without);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "pragma");
@@ -880,17 +637,13 @@ mod tests {
 
     #[test]
     fn unknown_pragma_rule_is_flagged() {
-        let src = "// dsa-lint: allow(fancy-rule, because)\nfn f() {}\n";
-        let v = lint("crates/core/src/x.rs", src);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "pragma");
-    }
-
-    #[test]
-    fn integration_test_files_are_exempt() {
-        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-        assert!(lint("crates/core/tests/it.rs", src).is_empty());
-        assert!(lint("tests/smoke.rs", src).is_empty());
+        // Rules that clippy and rustc now enforce are unknown here too.
+        for rule in ["fancy-rule", "unwrap", "nondeterminism", "det-taint"] {
+            let src = format!("// dsa-lint: allow({rule}, because)\nfn f() {{}}\n");
+            let v = lint("crates/core/src/x.rs", &src);
+            assert_eq!(v.len(), 1, "{rule}: {v:?}");
+            assert_eq!(v[0].rule, "pragma");
+        }
     }
 
     #[test]

@@ -176,7 +176,7 @@ mod tests {
     #[test]
     fn builtin_table_parses_and_has_expected_sections() {
         let s = Scopes::builtin();
-        for name in ["det-core", "timeline-math", "hot-alloc", "shard-isolation"] {
+        for name in ["timeline-math", "hot-alloc", "shard-isolation"] {
             assert!(s.get(name).is_some(), "scopes.toml lost section [{name}]");
         }
     }

@@ -162,31 +162,19 @@ impl fmt::Debug for SimBuffer {
 #[derive(Debug)]
 pub struct AddressSpace {
     next_base: u64,
-    default_page: PageSize,
     allocated_bytes: u64,
 }
 
 impl AddressSpace {
-    /// Creates an empty address space using 4 KiB pages by default.
+    /// Creates an empty address space.
     pub fn new() -> Self {
         // Start well above the null page, mimicking a real heap.
-        Self { next_base: 0x1000_0000, default_page: PageSize::Base4K, allocated_bytes: 0 }
+        Self { next_base: 0x1000_0000, allocated_bytes: 0 }
     }
 
-    /// Switches the default page size for subsequent allocations.
-    pub fn set_default_page_size(&mut self, ps: PageSize) {
-        self.default_page = ps;
-    }
-
-    /// Default page size for [`alloc`](AddressSpace::alloc).
-    pub fn default_page_size(&self) -> PageSize {
-        self.default_page
-    }
-
-    /// Allocates a zero-filled buffer with the default page size.
+    /// Allocates a zero-filled buffer mapped with 4 KiB pages.
     pub fn alloc(&mut self, len: usize, location: Location) -> SimBuffer {
-        let ps = self.default_page;
-        self.alloc_with_pages(len, location, ps)
+        self.alloc_with_pages(len, location, PageSize::Base4K)
     }
 
     /// Allocates a zero-filled buffer mapped with `page_size` pages.
@@ -237,15 +225,6 @@ mod tests {
         let mut asid = AddressSpace::new();
         let b = asid.alloc_with_pages(10, Location::local_dram(), PageSize::Huge2M);
         assert_eq!(b.base() % (2 << 20), 0);
-        assert_eq!(b.page_size(), PageSize::Huge2M);
-    }
-
-    #[test]
-    fn default_page_size_applies() {
-        let mut asid = AddressSpace::new();
-        asid.set_default_page_size(PageSize::Huge2M);
-        assert_eq!(asid.default_page_size(), PageSize::Huge2M);
-        let b = asid.alloc(10, Location::local_dram());
         assert_eq!(b.page_size(), PageSize::Huge2M);
     }
 

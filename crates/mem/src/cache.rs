@@ -280,6 +280,10 @@ pub struct DdioTracker {
     capacity: u64,
     window: SimDuration,
     window_start: SimTime,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "never iterated: only `insert`, `clear` and `len` touch it"
+    )]
     granules: std::collections::HashSet<u64>,
 }
 
@@ -289,6 +293,10 @@ const DDIO_GRANULE: u64 = 16 * 1024;
 impl DdioTracker {
     /// Tracks a DDIO share of `capacity` bytes with the given averaging
     /// window.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "builds the granule set, which is never iterated: only `insert`, `clear` and `len` touch it"
+    )]
     pub fn new(capacity: u64, window: SimDuration) -> DdioTracker {
         DdioTracker {
             capacity,

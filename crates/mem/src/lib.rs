@@ -40,6 +40,9 @@
 //! assert!(w.interval.end > iv.end);
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod agent;
 pub mod buffer;
 pub mod cache;

@@ -143,10 +143,13 @@ impl MemSystem {
                     iv
                 }
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "CXL traffic only reaches here on platforms built with a CXL device"
+            )]
             Location::Cxl => self
                 .cxl_read
                 .as_mut()
-                // dsa-lint: allow(unwrap, CXL traffic only reaches here on platforms built with a CXL device)
                 .expect("platform has no CXL memory device")
                 .transfer(ready, bytes),
             Location::Llc => self.llc_pipe.transfer(ready, bytes),
@@ -185,10 +188,13 @@ impl MemSystem {
         let lat = self.write_latency(loc);
         match loc {
             Location::Cxl => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "CXL traffic only reaches here on platforms built with a CXL device"
+                )]
                 let iv = self
                     .cxl_write
                     .as_mut()
-                    // dsa-lint: allow(unwrap, CXL traffic only reaches here on platforms built with a CXL device)
                     .expect("platform has no CXL memory device")
                     .transfer(ready, bytes);
                 WriteOutcome {

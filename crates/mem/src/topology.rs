@@ -145,21 +145,6 @@ impl Platform {
         }
     }
 
-    /// Returns a copy with the LLC (and DDIO share) scaled down by `factor`.
-    ///
-    /// Cache-pollution experiments shrink both the LLC and the working sets
-    /// by the same factor so that line-granular simulation stays fast while
-    /// preserving every capacity ratio the figures depend on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor == 0`.
-    pub fn with_llc_scaled_down(mut self, factor: u64) -> Platform {
-        assert!(factor > 0, "scale factor must be positive");
-        self.llc_bytes /= factor;
-        self
-    }
-
     /// Returns a copy whose DDIO way allocation is divided among `sharers`
     /// co-resident device contexts (never below one way).
     ///
@@ -211,7 +196,10 @@ impl Platform {
                 read_mgbps: self.dram.read_mgbps.min(self.upi_mgbps),
                 write_mgbps: self.dram.write_mgbps.min(self.upi_mgbps),
             },
-            // dsa-lint: allow(unwrap, documented panic — the method contract forbids Cxl on CXL-less platforms)
+            #[expect(
+                clippy::expect_used,
+                reason = "documented panic — the method contract forbids Cxl on CXL-less platforms"
+            )]
             Location::Cxl => self.cxl.expect("platform has no CXL memory device"),
             Location::Llc => MediumParams {
                 read_latency: self.llc_latency,
@@ -316,15 +304,5 @@ mod tests {
         assert_eq!(remote.read_mgbps, split.upi_mgbps, "UPI share binds remote reads");
         // Latency is a hop property, not a contention property, here.
         assert_eq!(remote.read_latency, spr.medium(Location::remote_dram()).read_latency);
-    }
-
-    #[test]
-    fn llc_scaling_preserves_ratios() {
-        let spr = Platform::spr();
-        let scaled = spr.clone().with_llc_scaled_down(8);
-        assert_eq!(scaled.llc_bytes, spr.llc_bytes / 8);
-        // DDIO share scales with the LLC, preserving the 2/15 ratio.
-        let ratio = scaled.ddio_bytes() as f64 / scaled.llc_bytes as f64;
-        assert!((ratio - 2.0 / 15.0).abs() < 1e-6);
     }
 }

@@ -6,7 +6,7 @@
 //! partial completions (paper §3.2/F1). Huge pages enlarge the reach of
 //! each cached translation (paper Fig. 8).
 
-use crate::buffer::{PageSize, SimBuffer};
+use crate::buffer::PageSize;
 use dsa_sim::time::SimDuration;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -31,11 +31,6 @@ impl PageTable {
             return;
         }
         self.ranges.insert(base, (len, ps));
-    }
-
-    /// Convenience: maps a buffer's range with its page size.
-    pub fn map_buffer(&mut self, buf: &SimBuffer) {
-        self.map_range(buf.base(), buf.len() as u64, buf.page_size());
     }
 
     /// Marks the page containing `addr` as *not present* (fault injection —
@@ -314,7 +309,6 @@ impl TranslationCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffer::{AddressSpace, Location};
 
     fn walk() -> SimDuration {
         SimDuration::from_ns(240)
@@ -380,18 +374,6 @@ mod tests {
         pt.service_fault(0x2345);
         assert!(pt.is_present(0x2345));
         assert!(!atc.translate(&pt, 0x2345).fault);
-    }
-
-    #[test]
-    fn map_buffer_covers_whole_range() {
-        let mut asid = AddressSpace::new();
-        let b = asid.alloc(10_000, Location::local_dram());
-        let mut pt = PageTable::new();
-        pt.map_buffer(&b);
-        assert!(pt.is_present(b.base()));
-        assert!(pt.is_present(b.base() + 9_999));
-        assert!(!pt.is_present(b.base() + 20_000));
-        assert_eq!(pt.page_base(b.base() + 5000), Some(b.base() + 4096));
     }
 
     #[test]

@@ -130,7 +130,7 @@ fn translation_hits_iff_page_cached() {
         let mut pt = PageTable::new();
         pt.map_range(0, 32 * 4096, PageSize::Base4K);
         let mut atc = TranslationCache::new(64, SimDuration::from_ns(100));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..1 + rng.next_below(99) {
             let p = rng.next_below(32);
             let out = atc.translate(&pt, p * 4096 + 123);

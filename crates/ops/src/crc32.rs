@@ -120,7 +120,12 @@ impl Crc32c {
         if std::arch::is_x86_feature_detected!("sse4.2") {
             // SAFETY: the CPU supports SSE4.2, the only feature
             // `update_sse42` enables.
-            self.state = unsafe { update_sse42(self.state, data) };
+            #[expect(
+                unsafe_code,
+                reason = "calls the SSE4.2 CRC kernel only after detecting SSE4.2"
+            )]
+            let state = unsafe { update_sse42(self.state, data) };
+            self.state = state;
             return;
         }
         self.update_table(data);

@@ -29,10 +29,10 @@ impl DeltaEntry {
     }
 
     /// Parses from the wire layout.
+    #[expect(clippy::expect_used, reason = "slice of a [u8; 10] from index 2 is exactly 8 bytes")]
     pub fn from_bytes(b: &[u8; 10]) -> DeltaEntry {
         DeltaEntry {
             offset: u16::from_le_bytes([b[0], b[1]]),
-            // dsa-lint: allow(unwrap, slice of a [u8; 10] from index 2 is exactly 8 bytes)
             data: b[2..].try_into().expect("8 bytes"),
         }
     }
@@ -73,10 +73,10 @@ impl DeltaRecord {
     }
 
     /// Iterates over decoded entries.
+    #[expect(clippy::expect_used, reason = "chunks_exact yields exactly SIZE-byte slices")]
     pub fn iter(&self) -> impl Iterator<Item = DeltaEntry> + '_ {
         self.bytes
             .chunks_exact(DeltaEntry::SIZE)
-            // dsa-lint: allow(unwrap, chunks_exact yields exactly SIZE-byte slices)
             .map(|c| DeltaEntry::from_bytes(c.try_into().expect("10 bytes")))
     }
 }
@@ -173,7 +173,10 @@ pub fn delta_create(
         if a != b {
             needed += DeltaEntry::SIZE;
             if needed <= max_record_bytes {
-                // dsa-lint: allow(unwrap, chunks_exact(8) yields exactly 8-byte slices)
+                #[expect(
+                    clippy::expect_used,
+                    reason = "chunks_exact(8) yields exactly 8-byte slices"
+                )]
                 let entry = DeltaEntry { offset: i as u16, data: b.try_into().expect("8 bytes") };
                 bytes.extend_from_slice(&entry.to_bytes());
             }

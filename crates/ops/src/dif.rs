@@ -221,7 +221,10 @@ pub fn dif_check(cfg: &DifConfig, protected: &[u8]) -> Result<(), DifCheckError>
     }
     for (i, chunk) in protected.chunks_exact(bs).enumerate() {
         let (data, pi) = chunk.split_at(cfg.block.bytes());
-        // dsa-lint: allow(unwrap, split_at of a (block + 8)-byte chunk leaves exactly 8 PI bytes)
+        #[expect(
+            clippy::expect_used,
+            reason = "split_at of a (block + 8)-byte chunk leaves exactly 8 PI bytes"
+        )]
         let tuple = DifTuple::from_bytes(pi.try_into().expect("8-byte PI"));
         if tuple.guard != crc16_t10(data) {
             return Err(DifCheckError::Dif(DifError { block: i, kind: DifErrorKind::Guard }));

@@ -33,6 +33,9 @@
 //! assert_eq!(patched, modified);
 //! ```
 
+#![deny(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod crc32;
 pub mod delta;
 pub mod dif;

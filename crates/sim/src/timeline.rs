@@ -128,7 +128,10 @@ impl MultiServer {
 
     /// Reserves *one* server for `dur`, starting no earlier than `ready`.
     pub fn reserve(&mut self, ready: SimTime, dur: SimDuration) -> Interval {
-        // dsa-lint: allow(unwrap, constructors require servers >= 1, so the heap is never empty)
+        #[expect(
+            clippy::expect_used,
+            reason = "constructors require servers >= 1, so the heap is never empty"
+        )]
         let Reverse(earliest) = self.free_at.pop().expect("pool is never empty");
         let start = ready.max(earliest);
         let end = start + dur;

@@ -64,6 +64,7 @@
 //! replay through per-shard digests merged in shard order.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod actionq;
 pub mod admission;

@@ -25,6 +25,9 @@
 //!   folded stacks, a machine-readable metrics CSV, and a PCM-style
 //!   text dashboard.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod causal;
 pub mod export;
 pub mod hub;

@@ -36,6 +36,9 @@
 //! assert_eq!(vhost.stats().delivered, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod cachesvc;
 pub mod fabric;
 pub mod migration;

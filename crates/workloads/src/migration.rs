@@ -123,9 +123,12 @@ impl Migration {
             for _ in 0..words.max(1.0) as u64 {
                 let off = self.rng.next_below(self.cfg.block_size / 8) * 8;
                 let v = self.rng.next_u64().to_le_bytes();
+                #[expect(
+                    clippy::expect_used,
+                    reason = "guest blocks were allocated by this workload's setup"
+                )]
                 rt.memory_mut()
                     .write(self.src_blocks[b].addr() + off, &v)
-                    // dsa-lint: allow(unwrap, guest blocks were allocated by this workload's setup)
                     .expect("guest memory is mapped");
             }
         }
@@ -267,9 +270,9 @@ impl Migration {
 
         // Verify: destination is byte-identical to the (now quiescent) guest.
         for (s, dst) in self.src_blocks.iter().zip(&self.dst_blocks) {
-            // dsa-lint: allow(unwrap, self-check over workload-allocated blocks)
+            #[expect(clippy::unwrap_used, reason = "self-check over workload-allocated blocks")]
             let src_bytes = rt.memory().read(s.addr(), self.cfg.block_size).unwrap();
-            // dsa-lint: allow(unwrap, self-check over workload-allocated blocks)
+            #[expect(clippy::unwrap_used, reason = "self-check over workload-allocated blocks")]
             let dst_bytes = rt.memory().read(dst.addr(), self.cfg.block_size).unwrap();
             assert_eq!(src_bytes, dst_bytes, "migrated memory must be identical");
         }

@@ -75,14 +75,14 @@ impl NvmeTcpTarget {
         // --- measured per-I/O digest cost (sampled functionally) ---
         let payload = rt.alloc(self.io_size, Location::local_dram());
         rt.fill_random(&payload);
-        // dsa-lint: allow(unwrap, payload was allocated by the runtime two lines up)
+        #[expect(clippy::unwrap_used, reason = "payload was allocated by the runtime two lines up")]
         let expected = Crc32c::checksum(rt.read(&payload).unwrap());
 
         let digest_core_cost = match self.digest {
             None => SimDuration::ZERO,
+            #[expect(clippy::unwrap_used, reason = "payload was allocated by the runtime above")]
             Some(Engine::Cpu) => {
                 // Verify once functionally, then charge the ISA-L rate.
-                // dsa-lint: allow(unwrap, payload was allocated by the runtime above)
                 assert_eq!(Crc32c::checksum(rt.read(&payload).unwrap()), expected);
                 dsa_sim::time::transfer_time_mgbps(self.io_size, ISAL_CRC_MGBPS)
             }

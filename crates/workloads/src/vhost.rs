@@ -190,9 +190,12 @@ impl Vhost {
                     };
                     let dst = self.vq.buffers[idx as usize];
                     let t = rt.cpu_time(OpKind::Memcpy, *len as u64, Location::Llc, Location::Llc);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "packet and ring buffers were allocated by this workload"
+                    )]
                     rt.memory_mut()
                         .copy(pkt.addr(), dst.addr(), (*len as u64).min(dst.len()))
-                        // dsa-lint: allow(unwrap, packet and ring buffers were allocated by this workload)
                         .expect("vhost buffers are mapped");
                     rt.advance(t);
                     // Synchronous: immediately used.
@@ -223,7 +226,10 @@ impl Vhost {
                     // A batch needs >= 2 descriptors; submit singly.
                     let (idx, len) = idxs[0];
                     let dst = self.vq.buffers[idx as usize];
-                    // dsa-lint: allow(unwrap, idxs was built from this same pkts slice one loop above)
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "idxs was built from this same pkts slice one loop above"
+                    )]
                     let pkt = pkts.iter().find(|(_, l)| *l == len).expect("present");
                     let src = pkt.0.slice(0, (len as u64).min(pkt.0.len()));
                     let dstv = dst.slice(0, (len as u64).min(dst.len()));
@@ -289,9 +295,12 @@ impl Vhost {
                     let Some(idx) = self.vq.avail.pop_front() else { break };
                     let src = self.vq.buffers[idx as usize];
                     let t = rt.cpu_time(OpKind::Memcpy, *len as u64, Location::Llc, Location::Llc);
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "ring and mbuf buffers were allocated by this workload"
+                    )]
                     rt.memory_mut()
                         .copy(src.addr(), mbuf.addr(), (*len as u64).min(mbuf.len()))
-                        // dsa-lint: allow(unwrap, ring and mbuf buffers were allocated by this workload)
                         .expect("vhost buffers are mapped");
                     rt.advance(t);
                     self.vq.used.push(idx);

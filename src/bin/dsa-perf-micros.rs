@@ -9,6 +9,9 @@
 //!
 //! Run with `--help` for all options.
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use dsa_bench::measure::{Measure, Mode};
 use dsa_core::config::AccelConfig;
 use dsa_core::runtime::DsaRuntime;

@@ -18,6 +18,9 @@
 //! assert!(report.elapsed().as_ns_f64() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub use dsa_bench as bench;
 pub use dsa_core as core;
 pub use dsa_ctl as ctl;

@@ -158,7 +158,7 @@ fn runtime_and_wild_handle() -> (DsaRuntime, BufferHandle, BufferHandle, BufferH
 /// `InvalidDescriptor`, no time charged, no byte written.
 fn assert_cpu_rejects(rt: &mut DsaRuntime, job: Job, good: &[BufferHandle]) {
     let now = rt.now();
-    let op = job.descriptor().opcode;
+    let op = job.descriptor().opcode();
     let (record, elapsed) = rt.cpu_op(&job);
     assert_eq!(record.status, Status::InvalidDescriptor, "{op:?}");
     assert_eq!((elapsed, rt.now()), (SimDuration::ZERO, now), "{op:?} charged time");
@@ -208,7 +208,7 @@ fn timing_only_cpu_fallback_never_fakes_a_read() {
     let b = rt.alloc(4096, Location::local_dram());
     for job in [Job::compare(&a, &b), Job::crc32(&a)] {
         let (record, _) = rt.cpu_op(&job);
-        assert_eq!(record.status, Status::InvalidDescriptor, "{:?}", job.descriptor().opcode);
+        assert_eq!(record.status, Status::InvalidDescriptor, "{:?}", job.descriptor().opcode());
     }
     let (copy, copy_elapsed) = rt.cpu_op(&Job::memcpy(&a, &b));
     assert_eq!(copy.status, Status::Success);
@@ -285,7 +285,7 @@ fn cpu_and_device_agree_op_by_op() {
             Job::dif_insert(&wild, &dst, cfg),
         ];
         for job in jobs {
-            let op = job.descriptor().opcode;
+            let op = job.descriptor().opcode();
             let what = format!("{op:?} timing_only={timing_only}");
             let (mut dev_rt, bufs, _) = agreement_rig(timing_only);
             let device = job.clone().execute(&mut dev_rt).unwrap().record;

@@ -7,7 +7,7 @@ use dsa_core::dispatch::{Decision, DispatchPolicy, Dispatcher};
 use dsa_core::guidelines::{self, ExecutionAdvice, TierPlacement, WqStrategy};
 use dsa_core::job::{AsyncQueue, Batch, Job};
 use dsa_core::runtime::DsaRuntime;
-use dsa_device::config::DeviceConfig;
+use dsa_device::config::{DeviceConfig, WqMode};
 use dsa_mem::buffer::Location;
 use dsa_mem::topology::Platform;
 use dsa_ops::OpKind;
@@ -249,6 +249,24 @@ fn dispatcher_pool_policies_follow_load_and_locality() {
     let s1 = nl.peek(&rt, Location::Dram { socket: 1 });
     assert_eq!(rt.device(s0).socket(), 0);
     assert_eq!(rt.device(s1).socket(), 1);
+}
+
+#[test]
+fn recommended_config_gives_each_submitter_a_dwq_within_the_device() {
+    // The device has 8 WQs but only 4 groups: 5 to 8 submitters must
+    // share groups, not fall back to one shared WQ.
+    let caps = dsa_device::config::DeviceCaps::dsa1();
+    for size in [1u64 << 10, 64 << 10, 1 << 20] {
+        for threads in 1..=8u32 {
+            let cfg = guidelines::recommended_config(size, threads);
+            cfg.validate(&caps).unwrap();
+            let dwqs = cfg.wqs.iter().filter(|w| w.mode == WqMode::Dedicated).count();
+            assert_eq!(dwqs, threads as usize, "{threads} submitters, {size} B: {cfg:?}");
+            let engines: u32 = cfg.groups.iter().map(|g| g.engines).sum();
+            let want = guidelines::g5_engines(size).min(caps.engines);
+            assert!(engines >= want, "{threads} submitters, {size} B: {engines} < {want} engines");
+        }
+    }
 }
 
 #[test]
