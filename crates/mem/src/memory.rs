@@ -11,6 +11,17 @@
 //! accidentally depend on timing state or vice versa.
 //!
 //! Whether an allocation holds bytes is a property of that allocation.
+//! A *backed* one holds no heap bytes until something writes it: while
+//! never written it reads as zeros from one zero slab the [`Memory`]
+//! owns (as long as its longest backed allocation). Its first
+//! [`Memory::read_mut`] or [`Memory::write`], or a [`Memory::copy`] of
+//! written bytes into it, materializes that allocation alone. A copy from
+//! a never-written source zero-fills the destination range, which a
+//! never-written destination already is, so it stays unmaterialized.
+//! Reading a never-written buffer therefore costs what its arithmetic
+//! costs, without faulting in pages nobody has written, and every read
+//! still returns the bytes the allocation holds.
+//!
 //! An *unbacked* one ([`Memory::alloc_unbacked_with_pages`]) gets the
 //! address, length, page size and location a backed one would, but no
 //! bytes: every byte access to it fails with [`MemError::NoBytes`], and a
@@ -62,13 +73,39 @@ impl BufferHandle {
 #[derive(Debug)]
 struct Segment {
     /// Declared length. `data` holds that many bytes in a backed
-    /// allocation and is `None` in an unbacked one. (A boxed slice, not a
-    /// `Vec`, so the segment is no larger than when the `Vec` carried the
-    /// length.)
+    /// allocation that has been written, and is `None` otherwise. (A
+    /// boxed slice, not a `Vec`, so the segment is no larger than when the
+    /// `Vec` carried the length.)
     len: u64,
     data: Option<Box<[u8]>>,
+    /// Backed but never written: reads come from the zero slab. A flag in
+    /// the struct's padding rather than a third state of `data`, so the
+    /// segment stays 32 bytes.
+    zero: bool,
     location: Location,
     page_size: PageSize,
+}
+
+impl Segment {
+    fn holds_bytes(&self) -> bool {
+        self.zero || self.data.is_some()
+    }
+
+    /// All of the segment's bytes, or `None` when it is unbacked.
+    fn bytes<'a>(&'a self, zeros: &'a [u8]) -> Option<&'a [u8]> {
+        match &self.data {
+            Some(data) => Some(data),
+            None => self.zero.then(|| &zeros[..self.len as usize]),
+        }
+    }
+
+    /// Gives a never-written segment bytes of its own, all zero.
+    fn materialize(&mut self) {
+        if self.zero {
+            self.zero = false;
+            self.data = Some(vec![0; self.len as usize].into());
+        }
+    }
 }
 
 /// Errors from address-based access.
@@ -123,12 +160,15 @@ pub struct Memory {
     segments: BTreeMap<u64, Segment>,
     next_base: u64,
     timing_only: bool,
+    /// Zeros as long as the longest backed allocation: the bytes of every
+    /// never-written one.
+    zeros: Box<[u8]>,
 }
 
 impl Memory {
     /// Creates an empty address space.
     pub fn new() -> Memory {
-        Memory { segments: BTreeMap::new(), next_base: 0x1000_0000, timing_only: false }
+        Memory { next_base: 0x1000_0000, ..Memory::default() }
     }
 
     /// Creates an empty address space in which every allocation is
@@ -146,7 +186,7 @@ impl Memory {
     ///
     /// Fails if the range is unmapped or spans allocations.
     pub fn holds_bytes(&self, addr: u64, len: u64) -> Result<bool, MemError> {
-        Ok(self.segment_of(addr, len)?.1.data.is_some())
+        Ok(self.segment_of(addr, len)?.1.holds_bytes())
     }
 
     /// Allocates `len` bytes in `location` with 4 KiB pages.
@@ -193,8 +233,10 @@ impl Memory {
         let base = self.next_base.div_ceil(align) * align;
         let span = (len.div_ceil(align) * align).max(align);
         self.next_base = base + span;
-        let data = backed.then(|| vec![0; len as usize].into());
-        self.segments.insert(base, Segment { len, data, location, page_size });
+        if backed && len as usize > self.zeros.len() {
+            self.zeros = vec![0; len as usize].into();
+        }
+        self.segments.insert(base, Segment { len, data: None, zero: backed, location, page_size });
         BufferHandle { base, len }
     }
 
@@ -218,7 +260,7 @@ impl Memory {
     /// [`MemError::NoBytes`] in an unbacked allocation.
     pub fn read(&self, addr: u64, len: u64) -> Result<&[u8], MemError> {
         let (base, seg) = self.segment_of(addr, len)?;
-        let data = seg.data.as_deref().ok_or(MemError::NoBytes { addr })?;
+        let data = seg.bytes(&self.zeros).ok_or(MemError::NoBytes { addr })?;
         let off = (addr - base) as usize;
         Ok(&data[off..off + len as usize])
     }
@@ -243,6 +285,7 @@ impl Memory {
     pub fn read_mut(&mut self, addr: u64, len: u64) -> Result<&mut [u8], MemError> {
         let (base, _) = self.segment_of(addr, len)?;
         let seg = self.segments.get_mut(&base).ok_or(MemError::Unmapped { addr })?;
+        seg.materialize();
         let data = seg.data.as_deref_mut().ok_or(MemError::NoBytes { addr })?;
         let off = (addr - base) as usize;
         Ok(&mut data[off..off + len as usize])
@@ -252,7 +295,8 @@ impl Memory {
     /// allocations; overlapping ranges have `memmove` semantics).
     ///
     /// A copy into an unbacked destination validates both ranges and
-    /// moves nothing.
+    /// moves nothing. A copy from a never-written source zero-fills the
+    /// destination range, which a never-written destination already is.
     ///
     /// # Errors
     ///
@@ -261,17 +305,27 @@ impl Memory {
     /// moves unless the copy succeeds.
     pub fn copy(&mut self, src: u64, dst: u64, len: u64) -> Result<(), MemError> {
         let (src_base, src_seg) = self.segment_of(src, len)?;
-        let src_backed = src_seg.data.is_some();
+        let (src_backed, src_zero) = (src_seg.holds_bytes(), src_seg.zero);
         let (dst_base, dst_seg) = self.segment_of(dst, len)?;
-        if dst_seg.data.is_none() {
+        if !dst_seg.holds_bytes() {
             return Ok(());
         }
         if !src_backed {
             return Err(MemError::NoBytes { addr: src });
         }
+        if src_zero {
+            if !dst_seg.zero {
+                self.read_mut(dst, len)?.fill(0);
+            }
+            return Ok(());
+        }
         let (from, to, n) = ((src - src_base) as usize, (dst - dst_base) as usize, len as usize);
-        // Both ends are backed, so skipping unbacked allocations in
-        // between leaves them as the first and last items.
+        if let Some(seg) = self.segments.get_mut(&dst_base) {
+            seg.materialize();
+        }
+        // Both ends now hold written bytes, so skipping the allocations in
+        // between that hold none leaves the ends as the first and last
+        // items.
         let mut ends = self
             .segments
             .range_mut(src_base.min(dst_base)..=src_base.max(dst_base))
@@ -333,7 +387,7 @@ impl Memory {
     /// Total bytes held: the lengths of the allocations that hold bytes
     /// (0 in a timing-only address space).
     pub fn backed_bytes(&self) -> u64 {
-        self.segments.values().filter(|s| s.data.is_some()).map(|s| s.len).sum()
+        self.segments.values().filter(|s| s.holds_bytes()).map(|s| s.len).sum()
     }
 }
 
@@ -360,6 +414,84 @@ mod tests {
             // Dirty it, so the next allocation cannot pass by reusing it.
             m.read_mut(b.addr(), len).unwrap().fill(0xA5);
         }
+    }
+
+    /// Which of `m`'s allocations hold bytes of their own, in address
+    /// order.
+    fn materialized(m: &Memory) -> Vec<bool> {
+        m.segments.values().map(|s| s.data.is_some()).collect()
+    }
+
+    #[test]
+    fn segment_stays_32_bytes() {
+        // A fleet holds hundreds of thousands of segments.
+        assert_eq!(std::mem::size_of::<Segment>(), 32);
+    }
+
+    #[test]
+    fn writing_materializes_only_its_own_allocation() {
+        let mut m = Memory::new();
+        let bufs: Vec<_> = (0..3).map(|_| m.alloc(4096, Location::local_dram())).collect();
+        assert!(m.read(bufs[1].addr(), 4096).unwrap().iter().all(|&x| x == 0));
+        assert_eq!(materialized(&m), [false; 3], "reading holds no bytes");
+        assert_eq!(m.backed_bytes(), 3 * 4096);
+        m.write(bufs[1].addr() + 100, &[7]).unwrap();
+        assert_eq!(materialized(&m), [false, true, false]);
+        assert_eq!(m.read(bufs[1].addr() + 99, 3).unwrap(), &[0, 7, 0]);
+        m.read_mut(bufs[2].addr(), 1).unwrap();
+        assert_eq!(materialized(&m), [false, true, true]);
+        assert_eq!(m.backed_bytes(), 3 * 4096);
+    }
+
+    #[test]
+    fn copy_from_a_never_written_source_zeroes_the_destination_range() {
+        let mut m = Memory::new();
+        let zero = m.alloc(64, Location::local_dram());
+        let dirty = m.alloc(64, Location::local_dram());
+        m.write(dirty.addr(), &[0xEE; 64]).unwrap();
+        m.copy(zero.addr() + 8, dirty.addr() + 16, 32).unwrap();
+        assert_eq!(m.read(dirty.addr(), 16).unwrap(), &[0xEE; 16]);
+        assert_eq!(m.read(dirty.addr() + 16, 32).unwrap(), &[0; 32]);
+        assert_eq!(m.read(dirty.addr() + 48, 16).unwrap(), &[0xEE; 16]);
+        assert_eq!(materialized(&m), [false, true], "the source stays unwritten");
+        // A written source materializes a never-written destination.
+        let fresh = m.alloc(64, Location::Cxl);
+        m.copy(dirty.addr(), fresh.addr(), 64).unwrap();
+        assert_eq!(m.read(fresh.addr(), 64).unwrap(), m.read(dirty.addr(), 64).unwrap());
+        assert_eq!(materialized(&m), [false, true, true]);
+    }
+
+    #[test]
+    fn zero_to_zero_copies_move_nothing() {
+        let mut m = Memory::new();
+        let a = m.alloc(64, Location::local_dram());
+        let between = m.alloc(16, Location::local_dram());
+        let b = m.alloc(64, Location::Cxl);
+        m.write(between.addr(), &[3; 16]).unwrap();
+        m.copy(a.addr(), b.addr() + 8, 56).unwrap();
+        m.copy(b.addr(), a.addr(), 64).unwrap();
+        m.copy(a.addr(), a.addr() + 4, 60).unwrap();
+        assert_eq!(materialized(&m), [false, true, false]);
+        assert!(m.read(a.addr(), 64).unwrap().iter().all(|&x| x == 0));
+        assert!(m.read(b.addr(), 64).unwrap().iter().all(|&x| x == 0));
+        // Bad ranges still fail.
+        assert_eq!(
+            m.copy(a.addr(), b.addr() + 32, 64),
+            Err(MemError::CrossesSegments { addr: b.addr() + 32 })
+        );
+    }
+
+    #[test]
+    fn the_zero_slab_grows_with_the_longest_backed_allocation() {
+        let mut m = Memory::new();
+        m.alloc_unbacked_with_pages(1 << 20, Location::local_dram(), PageSize::Base4K);
+        assert_eq!(m.zeros.len(), 0, "unbacked allocations need no zeros");
+        let small = m.alloc(100, Location::local_dram());
+        let big = m.alloc(10_000, Location::local_dram());
+        m.alloc(50, Location::local_dram());
+        assert_eq!(m.zeros.len(), 10_000);
+        assert_eq!(m.read(small.addr(), 100).unwrap().len(), 100);
+        assert!(m.read(big.addr() + 9_000, 1_000).unwrap().iter().all(|&x| x == 0));
     }
 
     #[test]

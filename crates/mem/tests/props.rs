@@ -408,7 +408,9 @@ fn timing_only_copy_fails_exactly_where_a_backed_copy_fails() {
 /// and an unbacked one never holds any: backed -> unbacked succeeds and
 /// moves nothing, unbacked -> backed fails with `NoBytes` and leaves the
 /// destination as it was, and backed -> backed copies across an unbacked
-/// allocation in between.
+/// allocation in between. A never-written backed buffer holds zeros: it
+/// zero-fills what it is copied into, takes bytes copied into it, and
+/// copies between two of them (or within one) leave zeros.
 #[test]
 fn mixed_memory_copies_never_invent_bytes() {
     let mut m = Memory::new();
@@ -444,6 +446,28 @@ fn mixed_memory_copies_never_invent_bytes() {
     assert_eq!(m.read(hi.addr(), 64).unwrap(), [[9; 16], [7; 16], [7; 16], [9; 16]].concat());
     m.copy(hi.addr(), lo.addr(), 16).unwrap();
     assert_eq!(m.read(lo.addr(), 32).unwrap(), [[9; 16], [7; 16]].concat());
+
+    // Never-written backed buffers, one of them between two written ones.
+    let fresh = m.alloc(64, d);
+    let fresh2 = m.alloc(64, d);
+    let top = m.alloc(64, d);
+    m.write(top.addr(), &[5; 64]).unwrap();
+    assert_eq!(m.holds_bytes(fresh.addr(), 64), Ok(true));
+    assert_eq!(m.copy(fresh.addr(), hole.addr(), 64), Ok(()));
+    assert_eq!(m.copy(hole.addr(), fresh.addr(), 64), Err(MemError::NoBytes { addr: hole.addr() }));
+    m.copy(fresh.addr(), fresh2.addr() + 8, 32).unwrap();
+    m.copy(fresh2.addr() + 8, fresh2.addr(), 32).unwrap();
+    m.copy(fresh.addr() + 4, hi.addr() + 8, 8).unwrap();
+    assert_eq!(m.read(hi.addr(), 24).unwrap(), [[9; 8], [0; 8], [7; 8]].concat());
+    // Across the never-written buffers, in both directions.
+    m.copy(top.addr(), lo.addr() + 48, 16).unwrap();
+    assert_eq!(m.read(lo.addr() + 32, 32).unwrap(), [[7; 16], [5; 16]].concat());
+    m.copy(lo.addr(), top.addr(), 16).unwrap();
+    assert_eq!(m.read(top.addr(), 32).unwrap(), [[9; 16], [5; 16]].concat());
+    m.copy(lo.addr(), fresh2.addr() + 16, 16).unwrap();
+    assert_eq!(m.read(fresh2.addr(), 48).unwrap(), [[0; 16], [9; 16], [0; 16]].concat());
+    assert!(m.read(fresh.addr(), 64).unwrap().iter().all(|&x| x == 0));
+    assert_eq!(m.backed_bytes(), 5 * 64);
 }
 
 /// The device's fault scan as it stood before [`PageTable::scan_faults`]:

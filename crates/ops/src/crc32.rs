@@ -9,6 +9,16 @@
 //! implementation, which also serves as the oracle for the instruction
 //! path ([`Crc32c::update_table`]).
 //!
+//! One chain of `crc32` instructions runs at the instruction's latency,
+//! a third of its throughput, so the instruction path splits the input
+//! into blocks of three equal lanes (3 × 8,192 bytes, then 3 × 256) and
+//! runs one chain per lane: the first lane from the running state, the
+//! other two from zero. CRC is linear, so the block's state is
+//! `shift(shift(a) ^ b) ^ c`, where `shift` advances a state over one
+//! lane's length of zero bytes. `shift` is a 32 × 32 matrix over GF(2)
+//! applied through four byte-indexed tables per lane length, built at
+//! compile time. What no block covers runs as one chain.
+//!
 //! The classic IEEE 802.3 polynomial is provided as [`Crc32Ieee`] for
 //! workloads (e.g. packet processing) that need it.
 
@@ -67,21 +77,93 @@ fn update(tables: &[[u32; 256]; 8], mut crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
-/// CRC32-C over `data` with the SSE4.2 `crc32` instruction, eight bytes
-/// at a time: the same state transition as [`update`] over `TABLES_C`.
+/// The lane lengths of the three-lane blocks, longest first.
+const LANE_LONG: usize = 8192;
+const LANE_SHORT: usize = 256;
+
+/// `a · b mod P` for reflected polynomials over GF(2) (bit 31 is `x^0`).
+const fn mul_mod(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 0;
+    while bit < 32 {
+        if a & (1 << (31 - bit)) != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY_C } else { b >> 1 };
+        bit += 1;
+    }
+    product
+}
+
+/// The tables of `shift` over `len` zero bytes: the CRC state `s` becomes
+/// `s · x^(8·len) mod P`, which is `t[0][s & 0xFF] ^ t[1][(s >> 8) & 0xFF]
+/// ^ t[2][(s >> 16) & 0xFF] ^ t[3][s >> 24]`.
+const fn shift_tables(len: usize) -> [[u32; 256]; 4] {
+    // x^(8·len) by square-and-multiply, starting from x^8 = x^(8·1).
+    let mut power = 1u32 << 31;
+    let mut square = 1u32 << 23;
+    let mut n = len;
+    while n > 0 {
+        if n & 1 != 0 {
+            power = mul_mod(power, square);
+        }
+        square = mul_mod(square, square);
+        n >>= 1;
+    }
+    let mut tables = [[0u32; 256]; 4];
+    let mut t = 0;
+    while t < 4 {
+        let mut i = 0;
+        while i < 256 {
+            tables[t][i] = mul_mod(power, (i as u32) << (8 * t));
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
+}
+
+static SHIFT_LONG: [[u32; 256]; 4] = shift_tables(LANE_LONG);
+static SHIFT_SHORT: [[u32; 256]; 4] = shift_tables(LANE_SHORT);
+
+/// Advances `crc` over one lane's length of zero bytes.
+fn shift(tables: &[[u32; 256]; 4], crc: u32) -> u32 {
+    tables[0][(crc & 0xFF) as usize]
+        ^ tables[1][((crc >> 8) & 0xFF) as usize]
+        ^ tables[2][((crc >> 16) & 0xFF) as usize]
+        ^ tables[3][(crc >> 24) as usize]
+}
+
+/// CRC32-C over `data` with the SSE4.2 `crc32` instruction: the same
+/// state transition as [`update`] over `TABLES_C`, in three-lane blocks
+/// (see the module docs) and then eight bytes at a time.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-fn update_sse42(crc: u32, data: &[u8]) -> u32 {
+fn update_sse42(mut crc: u32, data: &[u8]) -> u32 {
+    use crate::memops::word;
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut chunks = data.chunks_exact(8);
+    let mut rest = data;
+    for (lane, tables) in [(LANE_LONG, &SHIFT_LONG), (LANE_SHORT, &SHIFT_SHORT)] {
+        let mut blocks = rest.chunks_exact(3 * lane);
+        for block in &mut blocks {
+            let (a, bc) = block.split_at(lane);
+            let (b, c) = bc.split_at(lane);
+            let (mut x, mut y, mut z) = (u64::from(crc), 0, 0);
+            for ((p, q), r) in a.chunks_exact(8).zip(b.chunks_exact(8)).zip(c.chunks_exact(8)) {
+                x = _mm_crc32_u64(x, word(p));
+                y = _mm_crc32_u64(y, word(q));
+                z = _mm_crc32_u64(z, word(r));
+            }
+            // The instruction zero-extends its 32-bit result.
+            crc = shift(tables, shift(tables, x as u32) ^ y as u32) ^ z as u32;
+        }
+        rest = blocks.remainder();
+    }
+    let mut chunks = rest.chunks_exact(8);
     let mut wide = u64::from(crc);
     for c in &mut chunks {
-        wide = _mm_crc32_u64(
-            wide,
-            u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]),
-        );
+        wide = _mm_crc32_u64(wide, word(c));
     }
-    // The instruction zero-extends its 32-bit result.
     let mut crc = wide as u32;
     for &b in chunks.remainder() {
         crc = _mm_crc32_u8(crc, b);
@@ -261,6 +343,19 @@ mod tests {
         // 32 zero bytes: CRC-32C == 0x8A9136AA (well-known vector used in
         // iSCSI conformance tests).
         assert_eq!(Crc32c::checksum(&[0u8; 32]), 0x8A91_36AA);
+    }
+
+    #[test]
+    fn shift_tables_advance_over_zero_bytes() {
+        for (len, tables) in [(LANE_LONG, &SHIFT_LONG), (LANE_SHORT, &SHIFT_SHORT)] {
+            let zeros = vec![0u8; len];
+            for (t, table) in tables.iter().enumerate() {
+                for (i, &entry) in table.iter().enumerate() {
+                    let state = (i as u32) << (8 * t);
+                    assert_eq!(entry, update(&TABLES_C, state, &zeros), "len {len} [{t}][{i}]");
+                }
+            }
+        }
     }
 
     #[test]

@@ -60,17 +60,36 @@ fn crc32c_seed_chaining() {
     }
 }
 
+/// The instruction path's block sizes: three lanes of 8,192 bytes, then
+/// three of 256.
+const CRC_LONG_BLOCK: usize = 3 * 8192;
+const CRC_SHORT_BLOCK: usize = 3 * 256;
+
+/// A length within 16 bytes of a block edge: up to two long blocks, then
+/// up to a long block's worth of short ones.
+fn crc_edge_len(rng: &mut SplitMix64) -> usize {
+    let edge =
+        rng.next_below(3) as usize * CRC_LONG_BLOCK + rng.next_below(33) as usize * CRC_SHORT_BLOCK;
+    (edge + rng.next_below(33) as usize).saturating_sub(16)
+}
+
 /// `Crc32c::update` (the SSE4.2 `crc32` path where the CPU has it) agrees
-/// with the slice-by-8 table over random lengths, start offsets that
-/// misalign the 8-byte steps, random seeds, and chains of `with_seed`
-/// updates split at random points.
+/// with the slice-by-8 table over random seeds and start offsets 0–7
+/// (which misalign the 8-byte steps), at lengths from empty to three long
+/// blocks (near block edges in half the cases), and over chains of
+/// `with_seed` updates whose links end near every block edge.
 #[test]
 fn crc32c_update_matches_the_table() {
     let mut rng = SplitMix64::new(0x0B5_000A);
-    let buf = random_bytes(&mut rng, 4100 + 8);
-    for _ in 0..4 * CASES {
-        let start = rng.next_below(8) as usize;
-        let len = rng.next_below(4101) as usize;
+    let max_len = 3 * CRC_LONG_BLOCK + 16;
+    let buf = random_bytes(&mut rng, max_len + 8);
+    for case in 0..4 * CASES {
+        let start = case % 8;
+        let len = match case % 4 {
+            0 => rng.next_below(4101) as usize,
+            1 => rng.next_below(max_len as u64 + 1) as usize,
+            _ => crc_edge_len(&mut rng),
+        };
         let data = &buf[start..start + len];
         let seed = rng.next_u64() as u32;
         let (mut fast, mut table) = (Crc32c::with_seed(seed), Crc32c::with_seed(seed));
@@ -82,7 +101,12 @@ fn crc32c_update_matches_the_table() {
         // previous one's result, checked link by link.
         let (mut fast_seed, mut table_seed, mut at) = (seed, seed, 0);
         while at < len {
-            let end = (at + 1 + rng.next_below(600) as usize).min(len);
+            let link = if rng.next_below(2) == 0 {
+                1 + rng.next_below(600) as usize
+            } else {
+                crc_edge_len(&mut rng).max(1)
+            };
+            let end = (at + link).min(len);
             let mut f = Crc32c::with_seed(fast_seed);
             f.update(&data[at..end]);
             let mut t = Crc32c::with_seed(table_seed);
@@ -92,6 +116,20 @@ fn crc32c_update_matches_the_table() {
             at = end;
         }
         assert_eq!(fast_seed, fast.finish(), "chained equals one-shot");
+    }
+    // Every block edge itself, from every start offset.
+    for long in 0..3 {
+        for short in [0, 1, 2, 31, 32] {
+            for extra in [0, 1, 7, 8, 9, 15] {
+                let len = long * CRC_LONG_BLOCK + short * CRC_SHORT_BLOCK + extra;
+                for start in 0..8 {
+                    let data = &buf[start..start + len];
+                    let mut table = Crc32c::new();
+                    table.update_table(data);
+                    assert_eq!(Crc32c::checksum(data), table.finish(), "start {start} len {len}");
+                }
+            }
+        }
     }
     let mut table = Crc32c::new();
     table.update_table(b"123456789");
@@ -282,6 +320,48 @@ fn compare_pattern_reports_the_mutated_offset() {
         };
         buf[i] ^= 1 + rng.next_below(255) as u8;
         assert_eq!(memops::compare_pattern(&buf, pattern), Some(i), "len {len}");
+    }
+}
+
+/// Byte by byte: the reference the blocked kernel must match.
+fn compare_pattern_bytewise(buf: &[u8], pattern: u64) -> Option<usize> {
+    let bytes = pattern.to_le_bytes();
+    buf.iter().enumerate().position(|(i, &b)| b != bytes[i % 8])
+}
+
+/// The 64-byte-block kernel agrees with the byte-by-byte oracle over
+/// random patterns and lengths, with one flipped bit at a block's first
+/// byte, at its last byte, in the tail after the last block, or anywhere,
+/// and on buffers of random bytes.
+#[test]
+fn compare_pattern_matches_the_bytewise_oracle() {
+    let mut rng = SplitMix64::new(0x0B5_000F);
+    for case in 0..4 * CASES {
+        let len = rng.next_below(1100) as usize;
+        let pattern = rng.next_u64();
+        let mut buf = vec![0u8; len];
+        memops::fill(&mut buf, pattern);
+        assert_eq!(memops::compare_pattern(&buf, pattern), None, "len {len}");
+        let (blocks, tail) = (len / 64, len % 64);
+        let flip = match case % 5 {
+            0 if blocks > 0 => Some(rng.next_below(blocks as u64) as usize * 64),
+            1 if blocks > 0 => Some(rng.next_below(blocks as u64) as usize * 64 + 63),
+            2 if tail > 0 => Some(blocks * 64 + rng.next_below(tail as u64) as usize),
+            4 => {
+                rng.fill_bytes(&mut buf);
+                None
+            }
+            _ if len > 0 => Some(rng.next_below(len as u64) as usize),
+            _ => None,
+        };
+        if let Some(i) = flip {
+            buf[i] ^= 1 << rng.next_below(8);
+        }
+        let want = compare_pattern_bytewise(&buf, pattern);
+        if case % 5 != 4 {
+            assert_eq!(want, flip, "the oracle finds the flip");
+        }
+        assert_eq!(memops::compare_pattern(&buf, pattern), want, "len {len} flip {flip:?}");
     }
 }
 

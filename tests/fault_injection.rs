@@ -7,11 +7,12 @@ use dsa_core::job::Job;
 use dsa_core::runtime::DsaRuntime;
 use dsa_core::DsaError;
 use dsa_device::config::{ConfigError, DeviceCaps};
-use dsa_device::descriptor::{Descriptor, Opcode, Status};
+use dsa_device::descriptor::{CompletionRecord, Descriptor, Opcode, Status};
 use dsa_device::device::{SubmitError, WqId};
 use dsa_mem::buffer::Location;
 use dsa_mem::memory::{BufferHandle, Memory};
 use dsa_mem::topology::Platform;
+use dsa_ops::crc32::Crc32c;
 use dsa_ops::dif::{DifBlockSize, DifConfig};
 use dsa_sim::{SimDuration, SimTime};
 
@@ -217,21 +218,37 @@ fn timing_only_cpu_fallback_never_fakes_a_read() {
     assert_eq!(copy_elapsed, expected);
 }
 
+/// Where the written 64 KiB operands of [`agreement_rig`] differ from
+/// zeros and from the 0x5A pattern.
+const ZERO_FLIP: u64 = 50_001;
+const PATTERN_FLIP: u64 = 40_003;
+
 /// A runtime (backed or timing-only) holding a random buffer, a copy of
-/// it, a 0x5A-filled buffer and a zeroed destination, plus a handle
-/// outside every allocation of that runtime. Built the same way twice, it
-/// holds the same bytes twice.
-fn agreement_rig(timing_only: bool) -> (DsaRuntime, [BufferHandle; 4], BufferHandle) {
+/// it, a 0x5A-filled buffer and a never-written destination (4 KiB each),
+/// then two never-written 64 KiB buffers, a 64 KiB buffer of written
+/// zeros with one byte set at [`ZERO_FLIP`], and a 64 KiB 0x5A-filled one
+/// with one byte flipped at [`PATTERN_FLIP`], plus a handle outside every
+/// allocation of that runtime. Built the same way twice, it holds the same
+/// bytes twice.
+fn agreement_rig(timing_only: bool) -> (DsaRuntime, [BufferHandle; 8], BufferHandle) {
     let mut builder = DsaRuntime::builder(Platform::spr());
     if timing_only {
         builder = builder.timing_only();
     }
     let mut rt = builder.build();
-    let bufs = [(); 4].map(|_| rt.alloc(4096, Location::local_dram()));
-    let [random, copy, pattern, _dst] = bufs;
+    let bufs: [BufferHandle; 8] = std::array::from_fn(|i| {
+        rt.alloc(if i < 4 { 4096 } else { 64 << 10 }, Location::local_dram())
+    });
+    let [random, copy, pattern, _dst, _zero_a, _zero_b, zero_flipped, pattern_flipped] = bufs;
     rt.fill_random(&random);
     rt.memory_mut().copy(random.addr(), copy.addr(), 4096).unwrap();
     rt.fill_pattern(&pattern, 0x5A);
+    rt.fill_pattern(&zero_flipped, 0);
+    rt.fill_pattern(&pattern_flipped, 0x5A);
+    if !timing_only {
+        rt.memory_mut().write(zero_flipped.addr() + ZERO_FLIP, &[0x10]).unwrap();
+        rt.memory_mut().write(pattern_flipped.addr() + PATTERN_FLIP, &[0x5B]).unwrap();
+    }
     let mut elsewhere = Memory::new();
     elsewhere.alloc(64 << 20, Location::local_dram());
     (rt, bufs, elsewhere.alloc(4096, Location::local_dram()))
@@ -242,6 +259,28 @@ fn contents(rt: &DsaRuntime, bufs: &[BufferHandle]) -> Vec<Result<Vec<u8>, Strin
     bufs.iter().map(|b| rt.read(b).map(<[u8]>::to_vec).map_err(|e| format!("{e:?}"))).collect()
 }
 
+/// Runs `job` on the device of one fresh rig and through `cpu_op` on
+/// another, checks they agree on status, result and bytes left behind, and
+/// returns the record.
+fn agree(job: &Job, timing_only: bool) -> CompletionRecord {
+    let what = format!("{:?} timing_only={timing_only}", job.descriptor().opcode());
+    let (mut dev_rt, bufs, _) = agreement_rig(timing_only);
+    let device = job.clone().execute(&mut dev_rt).unwrap().record;
+    let (mut cpu_rt, _, _) = agreement_rig(timing_only);
+    let before = contents(&cpu_rt, &bufs);
+    let (cpu, elapsed) = cpu_rt.cpu_op(job);
+    assert_eq!((cpu.status, cpu.result), (device.status, device.result), "{what}");
+    assert_eq!(contents(&cpu_rt, &bufs), contents(&dev_rt, &bufs), "{what}");
+    if cpu.status == Status::InvalidDescriptor {
+        assert_eq!((elapsed, cpu_rt.now()), (SimDuration::ZERO, SimTime::ZERO), "{what}");
+        assert_eq!(contents(&cpu_rt, &bufs), before, "{what}");
+    } else {
+        assert!(elapsed > SimDuration::ZERO, "{what}");
+        assert_eq!(cpu_rt.now(), SimTime::ZERO + elapsed, "{what}");
+    }
+    device
+}
+
 /// The CPU path runs an operation with the device's byte semantics: op
 /// by op, over valid operands, out-of-range handles and short
 /// destinations, on a backed and a timing-only runtime, `cpu_op` returns
@@ -249,6 +288,9 @@ fn contents(rt: &DsaRuntime, bufs: &[BufferHandle]) -> Vec<Result<Vec<u8>, Strin
 /// behind. A rejected operation charges no time and writes nothing, and
 /// an operation that reads no operand bytes for its record (copy,
 /// dualcast, fill, DIF insert) gets the same status on both runtimes.
+/// CRC, copy-CRC, compare and compare-pattern over 64 KiB operands that
+/// were never written, or written with one differing byte, also give the
+/// value computed here from the bytes.
 #[test]
 fn cpu_and_device_agree_op_by_op() {
     let pattern = u64::from_le_bytes([0x5A; 8]);
@@ -256,7 +298,8 @@ fn cpu_and_device_agree_op_by_op() {
     let write_only = [Opcode::Memmove, Opcode::Dualcast, Opcode::Fill, Opcode::DifInsert];
     let mut write_only_statuses = [Vec::new(), Vec::new()];
     for timing_only in [false, true] {
-        let (_, [random, copy, filled, dst], wild) = agreement_rig(timing_only);
+        let (_, [random, copy, filled, dst, zero_a, zero_b, zero_flipped, pattern_flipped], wild) =
+            agreement_rig(timing_only);
         let jobs = [
             Job::memcpy(&random, &dst),
             Job::memcpy(&wild, &dst),
@@ -286,23 +329,42 @@ fn cpu_and_device_agree_op_by_op() {
         ];
         for job in jobs {
             let op = job.descriptor().opcode();
-            let what = format!("{op:?} timing_only={timing_only}");
-            let (mut dev_rt, bufs, _) = agreement_rig(timing_only);
-            let device = job.clone().execute(&mut dev_rt).unwrap().record;
-            let (mut cpu_rt, _, _) = agreement_rig(timing_only);
-            let before = contents(&cpu_rt, &bufs);
-            let (cpu, elapsed) = cpu_rt.cpu_op(&job);
-            assert_eq!((cpu.status, cpu.result), (device.status, device.result), "{what}");
-            assert_eq!(contents(&cpu_rt, &bufs), contents(&dev_rt, &bufs), "{what}");
-            if cpu.status == Status::InvalidDescriptor {
-                assert_eq!((elapsed, cpu_rt.now()), (SimDuration::ZERO, SimTime::ZERO), "{what}");
-                assert_eq!(contents(&cpu_rt, &bufs), before, "{what}");
-            } else {
-                assert!(elapsed > SimDuration::ZERO, "{what}");
-                assert_eq!(cpu_rt.now(), SimTime::ZERO + elapsed, "{what}");
-            }
+            let status = agree(&job, timing_only).status;
             if write_only.contains(&op) {
-                write_only_statuses[usize::from(timing_only)].push((op, cpu.status));
+                write_only_statuses[usize::from(timing_only)].push((op, status));
+            }
+        }
+
+        let big = (64 << 10) as usize;
+        let crc_of_zeros = u64::from(Crc32c::checksum(&vec![0; big]));
+        let mut one_set = vec![0; big];
+        one_set[ZERO_FLIP as usize] = 0x10;
+        let mismatch = |at: u64| (Status::CompareMismatch, at);
+        let reads = [
+            (Job::crc32(&zero_a), (Status::Success, crc_of_zeros)),
+            (Job::crc32(&zero_flipped), (Status::Success, u64::from(Crc32c::checksum(&one_set)))),
+            (Job::copy_crc(&zero_a, &zero_b), (Status::Success, crc_of_zeros)),
+            // Written bytes into a never-written destination, and back.
+            (
+                Job::copy_crc(&zero_flipped, &zero_b),
+                (Status::Success, u64::from(Crc32c::checksum(&one_set))),
+            ),
+            (Job::copy_crc(&zero_a, &zero_flipped), (Status::Success, crc_of_zeros)),
+            (Job::compare(&zero_a, &zero_b), (Status::Success, 0)),
+            (Job::compare(&zero_a, &zero_flipped), mismatch(ZERO_FLIP)),
+            (Job::compare(&zero_flipped, &zero_b), mismatch(ZERO_FLIP)),
+            (Job::compare_pattern(&zero_a, 0), (Status::Success, 0)),
+            (Job::compare_pattern(&zero_a, pattern), mismatch(0)),
+            (Job::compare_pattern(&zero_flipped, 0), mismatch(ZERO_FLIP)),
+            (Job::compare_pattern(&pattern_flipped, pattern), mismatch(PATTERN_FLIP)),
+        ];
+        for (job, want) in reads {
+            let record = agree(&job, timing_only);
+            let what = format!("{:?} timing_only={timing_only}", job.descriptor().opcode());
+            if timing_only {
+                assert_eq!(record.status, Status::InvalidDescriptor, "{what}");
+            } else {
+                assert_eq!((record.status, record.result), want, "{what}");
             }
         }
     }
