@@ -17,7 +17,7 @@
 //!   surfaces as an error); [`Job::submit`]/[`Job::execute`] wrap it in
 //!   the hardware retry loop.
 //! * [`AsyncQueue`] — depth-bounded streaming over `Job`, built on
-//!   [`InflightWindow`](crate::submit::InflightWindow).
+//!   [`InflightWindow`].
 //! * [`Dispatcher`](crate::dispatch::Dispatcher) — **placement policy**
 //!   (CPU vs DSA, sync vs async) over the same mechanism.
 //! * `DsaService` (the `dsa-svc` crate) — **multi-tenant policy**

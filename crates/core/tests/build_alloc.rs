@@ -5,9 +5,9 @@
 //! built only once something allocates a line into the cache, so a fresh
 //! runtime must stay far below it; a timing-only runtime holds no buffer
 //! bytes, so its buffers cost only their bookkeeping. A backed runtime's
-//! buffers hold no heap bytes until written: reading them costs one zero
-//! slab as long as the longest of them, and a write costs that buffer's
-//! bytes.
+//! buffers hold no heap bytes until written: reading them with device
+//! jobs, whose operands miss the device ATC, costs one zero slab as long
+//! as the longest of them, and a write costs that buffer's bytes.
 //!
 //! One `#[test]` only: the counter is process-global, so a second parallel
 //! test would count its own allocations into ours.
@@ -19,6 +19,7 @@ use dsa_core::job::Job;
 use dsa_core::runtime::DsaRuntime;
 use dsa_device::descriptor::Status;
 use dsa_mem::buffer::Location;
+use dsa_mem::memory::BufferHandle;
 use dsa_mem::topology::Platform;
 use dsa_ops::crc32::Crc32c;
 
@@ -81,17 +82,28 @@ fn runtime_builds_allocate_no_bulk_state() {
     );
 
     let zeros_crc = u64::from(Crc32c::checksum(&vec![0; 1 << 20]));
-    let mut rt = DsaRuntime::spr_default();
-    let (bytes, bufs) = heap_bytes(|| {
-        let bufs: Vec<_> = (0..64).map(|_| rt.alloc(1 << 20, Location::local_dram())).collect();
-        // On the CPU path, which reads the same bytes as the device but
-        // keeps no per-page translation state, so only bytes are counted.
+    // CRC and compare of each buffer as device jobs, each translating its
+    // operands' leading pages through the device ATC.
+    let read_all = |rt: &mut DsaRuntime, bufs: &[BufferHandle]| {
         for (i, buf) in bufs.iter().enumerate() {
-            let (crc, _) = rt.cpu_op(&Job::crc32(buf));
-            assert_eq!((crc.status, crc.result), (Status::Success, zeros_crc));
-            let (cmp, _) = rt.cpu_op(&Job::compare(buf, &bufs[(i + 1) % 64]));
+            let crc = Job::crc32(buf).execute(rt).expect("a CRC job runs").record;
+            assert_eq!(crc.status, Status::Success);
+            let other = &bufs[(i + 1) % bufs.len()];
+            let cmp = Job::compare(buf, other).execute(rt).expect("a compare job runs").record;
             assert_eq!(cmp.status, Status::Success);
         }
+    };
+    let mut rt = DsaRuntime::spr_default();
+    // The memory model's bandwidth pipes each remember up to 4,096 idle
+    // gaps. A warm-up pass over half-size buffers grows those bounded
+    // lists (and a half-size zero slab) before the window opens.
+    let warm: Vec<_> = (0..64).map(|_| rt.alloc(1 << 19, Location::local_dram())).collect();
+    read_all(&mut rt, &warm);
+    let (bytes, bufs) = heap_bytes(|| {
+        let bufs: Vec<_> = (0..64).map(|_| rt.alloc(1 << 20, Location::local_dram())).collect();
+        read_all(&mut rt, &bufs);
+        let crc = Job::crc32(&bufs[0]).execute(&mut rt).expect("a CRC job runs").record;
+        assert_eq!(crc.result, zeros_crc);
         bufs
     });
     assert!(

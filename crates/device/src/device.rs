@@ -223,8 +223,8 @@ impl DsaDevice {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails validation; [`try_with_timing`]
-    /// (Self::try_with_timing) is the fallible path.
+    /// Panics if `config` fails validation;
+    /// [`try_with_timing`](Self::try_with_timing) is the fallible path.
     #[expect(
         clippy::expect_used,
         reason = "documented panicking constructor; try_with_timing is the fallible path"

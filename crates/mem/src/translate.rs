@@ -8,13 +8,14 @@
 
 use crate::buffer::PageSize;
 use dsa_sim::time::SimDuration;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A process page table mapping virtual ranges with their page size.
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
-    // start -> (len, page size); ranges are disjoint.
-    ranges: BTreeMap<u64, (u64, PageSize)>,
+    // (start, len, page size), sorted by start with one entry per start;
+    // ranges are disjoint.
+    ranges: Vec<(u64, u64, PageSize)>,
     // Bases of pages marked not present.
     unmapped_pages: BTreeSet<u64>,
 }
@@ -25,12 +26,23 @@ impl PageTable {
         PageTable::default()
     }
 
-    /// Maps `[base, base+len)` with the given page size.
+    /// Maps `[base, base+len)` with the given page size, replacing any
+    /// mapping that starts at `base`. Zero-length maps are ignored.
     pub fn map_range(&mut self, base: u64, len: u64, ps: PageSize) {
         if len == 0 {
             return;
         }
-        self.ranges.insert(base, (len, ps));
+        // Buffers are bump-allocated, so a new range almost always starts
+        // above every mapped one and appends.
+        if self.ranges.last().is_none_or(|&(last, ..)| last < base) {
+            self.ranges.push((base, len, ps));
+            return;
+        }
+        let at = self.ranges.partition_point(|&(start, ..)| start < base);
+        match self.ranges.get_mut(at) {
+            Some(r) if r.0 == base => *r = (base, len, ps),
+            _ => self.ranges.insert(at, (base, len, ps)),
+        }
     }
 
     /// Marks the page containing `addr` as *not present* (fault injection —
@@ -50,7 +62,8 @@ impl PageTable {
 
     /// Page size of the mapping covering `addr`, if any.
     pub fn lookup(&self, addr: u64) -> Option<PageSize> {
-        let (&base, &(len, ps)) = self.ranges.range(..=addr).next_back()?;
+        let at = self.ranges.partition_point(|&(start, ..)| start <= addr);
+        let &(base, len, ps) = self.ranges.get(at.checked_sub(1)?)?;
         if addr < base + len {
             Some(ps)
         } else {
@@ -114,12 +127,18 @@ pub struct TranslateOutcome {
 
 /// An LRU translation cache — models both core TLBs and the device ATC.
 ///
-/// A translation costs O(log capacity) host time, with no scan over the
-/// cached translations: LRU order lives in an intrusive doubly-linked
-/// list over a slab of at most `capacity` nodes (front = most recently
-/// touched), and an index maps each cached page base to its slot. A hit
-/// moves its node to the front; a miss on a full cache evicts the tail,
-/// which is exactly the least recently touched translation.
+/// A translation costs O(1) expected host time and, after the first,
+/// never touches the heap: both structures are allocated once, at the
+/// first translation of a mapped address. LRU order lives in an
+/// intrusive doubly-linked list over a slab of at most `capacity` nodes
+/// (front = most recently touched), and a fixed open-addressing table
+/// indexes each cached page base to its slot. The table holds a
+/// power-of-two number of entries, at least twice the capacity, so it is
+/// never more than half full; a page probes linearly from a fixed
+/// multiplicative hash of its page number, and a removal shifts the rest
+/// of its probe chain back. A hit moves its node to the front; a miss on
+/// a full cache evicts the tail, which is exactly the least recently
+/// touched translation.
 ///
 /// ```
 /// use dsa_mem::translate::{PageTable, TranslationCache};
@@ -136,11 +155,14 @@ pub struct TranslateOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TranslationCache {
-    // Page base -> slot in `nodes`. Nothing iterates it, so its order
-    // never reaches a result.
-    index: BTreeMap<u64, u32>,
+    // Open-addressing index: each entry is a slot in `nodes`, or `NIL`
+    // when empty; no entries until the first translation. Nothing
+    // iterates it, so its order never reaches a result.
+    index: Box<[u32]>,
+    // `64 - log2(index.len())`: a hash's top bits pick the home entry.
+    shift: u32,
     // The slab: exactly one node per cached translation, so
-    // `nodes.len() == index.len() <= capacity`.
+    // `nodes.len()` is the number of indexed slots, at most `capacity`.
     nodes: Vec<Node>,
     // Most and least recently touched slots (`NIL` when empty).
     head: u32,
@@ -172,7 +194,8 @@ impl TranslationCache {
         assert!(capacity > 0, "translation cache needs capacity");
         assert!(capacity < NIL as usize, "translation cache slots are u32");
         TranslationCache {
-            index: BTreeMap::new(),
+            index: Box::default(),
+            shift: 64 - (2 * capacity).next_power_of_two().trailing_zeros(),
             nodes: Vec::new(),
             head: NIL,
             tail: NIL,
@@ -194,7 +217,11 @@ impl TranslationCache {
             self.misses += 1;
             return TranslateOutcome { cost: self.walk_latency, fault: true, hit: false };
         };
-        if let Some(&slot) = self.index.get(&page) {
+        if self.index.is_empty() {
+            self.allocate();
+        }
+        if let Ok(at) = self.probe(page) {
+            let slot = self.index[at];
             self.unlink(slot);
             self.push_front(slot);
             self.hits += 1;
@@ -214,7 +241,9 @@ impl TranslationCache {
                 }
             };
             self.push_front(slot);
-            self.index.insert(page, slot);
+            // The eviction may have shifted entries, so probe again.
+            let (Ok(at) | Err(at)) = self.probe(page);
+            self.index[at] = slot;
         } else if let Some(slot) = freed {
             self.release(slot);
         }
@@ -227,12 +256,64 @@ impl TranslationCache {
         self.nodes.len()
     }
 
+    /// Sizes the index and the slab, once, at the first translation of a
+    /// mapped address: a cache that never translates (a runtime's idle
+    /// device) costs no heap.
+    #[cold]
+    fn allocate(&mut self) {
+        self.index = vec![NIL; 1 << (64 - self.shift)].into_boxed_slice();
+        self.nodes.reserve_exact(self.capacity);
+    }
+
+    /// The index entry a probe for `page` starts at.
+    fn home(&self, page: u64) -> usize {
+        ((page >> 12).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The index entry holding `page`'s slot, or else the empty entry
+    /// that ends its probe chain. Terminates because the index is never
+    /// full.
+    fn probe(&self, page: u64) -> Result<usize, usize> {
+        let mask = self.index.len() - 1;
+        let mut at = self.home(page);
+        loop {
+            match self.index[at] {
+                NIL => return Err(at),
+                slot if self.nodes[slot as usize].page == page => return Ok(at),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Empties index entry `hole`, shifting back each later entry of the
+    /// probe chain whose home lies at or before the hole, so every cached
+    /// page stays reachable from its home without tombstones.
+    fn unindex(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut at = hole;
+        loop {
+            at = (at + 1) & mask;
+            let slot = self.index[at];
+            if slot == NIL {
+                break;
+            }
+            let home = self.home(self.nodes[slot as usize].page);
+            if at.wrapping_sub(home) & mask >= at.wrapping_sub(hole) & mask {
+                self.index[hole] = slot;
+                hole = at;
+            }
+        }
+        self.index[hole] = NIL;
+    }
+
     /// Unlinks the least recently touched node and drops it from the
     /// index, returning its now-free slot.
     fn evict_lru(&mut self) -> u32 {
         let slot = self.tail;
         self.unlink(slot);
-        self.index.remove(&self.nodes[slot as usize].page);
+        if let Ok(at) = self.probe(self.nodes[slot as usize].page) {
+            self.unindex(at);
+        }
         slot
     }
 
@@ -262,7 +343,8 @@ impl TranslationCache {
     }
 
     /// Removes a detached, unindexed `slot` from the slab by moving the
-    /// last node into it, so the slab stays one node per translation.
+    /// last node into it, so the slab stays one node per translation,
+    /// and re-points the moved node's index entry.
     fn release(&mut self, slot: u32) {
         self.nodes.swap_remove(slot as usize);
         let Some(&moved) = self.nodes.get(slot as usize) else { return };
@@ -274,12 +356,18 @@ impl TranslationCache {
             NIL => self.tail = slot,
             n => self.nodes[n as usize].prev = slot,
         }
-        self.index.insert(moved.page, slot);
+        // Found by its old slot, which no longer names a node.
+        let (mask, old) = (self.index.len() - 1, self.nodes.len() as u32);
+        let mut at = self.home(moved.page);
+        while self.index[at] != old {
+            at = (at + 1) & mask;
+        }
+        self.index[at] = slot;
     }
 
     /// Drops every cached translation (e.g. TLB shootdown).
     pub fn flush(&mut self) {
-        self.index.clear();
+        self.index.fill(NIL);
         self.nodes.clear();
         self.head = NIL;
         self.tail = NIL;
@@ -391,5 +479,55 @@ mod tests {
         let mut pt = PageTable::new();
         pt.map_range(0x1000, 0, PageSize::Base4K);
         assert!(pt.lookup(0x1000).is_none());
+    }
+
+    /// Every cached node is indexed exactly once and its probe finds it;
+    /// returns whether some entry sits before its home, its chain having
+    /// wrapped past the end of the table.
+    fn check_index(atc: &TranslationCache) -> bool {
+        let indexed = atc.index.iter().filter(|&&slot| slot != NIL).count();
+        assert_eq!(indexed, atc.nodes.len());
+        for (slot, node) in atc.nodes.iter().enumerate() {
+            let at = atc.probe(node.page).expect("cached page is indexed");
+            assert_eq!(atc.index[at], slot as u32);
+        }
+        atc.index
+            .iter()
+            .enumerate()
+            .any(|(at, &slot)| slot != NIL && atc.home(atc.nodes[slot as usize].page) > at)
+    }
+
+    #[test]
+    fn dense_streams_wrap_probe_chains_and_keep_the_index_exact() {
+        let mut rng = dsa_sim::rng::SplitMix64::new(0x7AB1E);
+        for capacity in [1usize, 3, 127, 129, 512] {
+            // A few more pages than the cache holds, scattered (a run of
+            // consecutive pages hashes evenly and seldom collides), one
+            // of them swapped for a fresh one at every other step, so the
+            // cache stays full while the set of homes keeps changing.
+            let space = 1u64 << 18;
+            let mut pool: Vec<u64> = (0..capacity + 3).map(|_| rng.next_below(space)).collect();
+            let mut pt = PageTable::new();
+            pt.map_range(0, space * 4096, PageSize::Base4K);
+            let mut atc = TranslationCache::new(capacity, walk());
+            let mut wrapped = 0;
+            for step in 0..20 * capacity.max(8) {
+                let pick = rng.next_below(pool.len() as u64) as usize;
+                if rng.next_below(2) == 0 {
+                    pool[pick] = rng.next_below(space);
+                }
+                let addr = pool[pick] * 4096;
+                match rng.next_below(16) {
+                    0 => pt.unmap_page(addr),
+                    1 => pt.service_fault(addr),
+                    _ => {}
+                }
+                atc.translate(&pt, addr);
+                if step % 7 == 0 || capacity < 8 {
+                    wrapped += usize::from(check_index(&atc));
+                }
+            }
+            assert!(capacity == 1 || wrapped > 0, "capacity {capacity}: no chain wrapped");
+        }
     }
 }

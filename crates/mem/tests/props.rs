@@ -143,6 +143,117 @@ fn translation_hits_iff_page_cached() {
     }
 }
 
+/// [`PageTable`] as it stood before its sorted range vector: ranges in a
+/// `BTreeMap` keyed by start, not-present pages in a `BTreeSet`.
+#[derive(Default)]
+struct BTreePageTable {
+    ranges: BTreeMap<u64, (u64, PageSize)>,
+    unmapped: std::collections::BTreeSet<u64>,
+}
+
+impl BTreePageTable {
+    fn map_range(&mut self, base: u64, len: u64, ps: PageSize) {
+        if len > 0 {
+            self.ranges.insert(base, (len, ps));
+        }
+    }
+
+    fn lookup(&self, addr: u64) -> Option<PageSize> {
+        let (&base, &(len, ps)) = self.ranges.range(..=addr).next_back()?;
+        (addr < base + len).then_some(ps)
+    }
+
+    fn page_base(&self, addr: u64) -> Option<u64> {
+        let ps = self.lookup(addr)?;
+        Some(addr / ps.bytes() * ps.bytes())
+    }
+
+    fn resolve(&self, addr: u64) -> Option<(u64, bool)> {
+        let page = self.page_base(addr)?;
+        Some((page, !self.unmapped.contains(&page)))
+    }
+}
+
+#[test]
+fn sorted_page_table_matches_the_btree_reference() {
+    let mut rng = SplitMix64::new(0x3E3_000E);
+    let mut hits = 0u32;
+    for _ in 0..CASES {
+        // Disjoint 4 KiB and 2 MiB ranges at page-aligned bases with
+        // holes between them, each with room up to the next one.
+        let mut ranges = Vec::new();
+        let mut next = rng.next_below(1 << 30);
+        for _ in 0..1 + rng.next_below(40) {
+            let ps = if rng.next_below(3) == 0 { PageSize::Huge2M } else { PageSize::Base4K };
+            let base = next.div_ceil(ps.bytes()) * ps.bytes();
+            let room = 1 + rng.next_below(4 << 20);
+            ranges.push((base, room, ps));
+            next = base + room + rng.next_below(1 << 20);
+        }
+        // Mapped in a random order.
+        let mut order: Vec<usize> = (0..ranges.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.next_below(i as u64 + 1) as usize);
+        }
+        let (mut pt, mut reference) = (PageTable::new(), BTreePageTable::default());
+        let mut map = |pt: &mut PageTable, base: u64, len: u64, ps: PageSize| {
+            pt.map_range(base, len, ps);
+            reference.map_range(base, len, ps);
+        };
+        for &i in &order {
+            let (base, room, ps) = ranges[i];
+            map(&mut pt, base, room, ps);
+            match rng.next_below(4) {
+                // Re-mapped at the same base, shorter and maybe with the
+                // other page size.
+                0 => {
+                    let ps = if rng.next_below(2) == 0 { PageSize::Huge2M } else { ps };
+                    map(&mut pt, base, 1 + rng.next_below(room), ps);
+                }
+                // Zero-length maps, at the base and anywhere.
+                1 => {
+                    map(&mut pt, base, 0, ps);
+                    map(&mut pt, rng.next_below(next), 0, PageSize::Base4K);
+                }
+                _ => {}
+            }
+        }
+        let check = |pt: &PageTable, reference: &BTreePageTable, hits: &mut u32| {
+            for &(base, _, _) in &ranges {
+                let (len, _) = reference.ranges[&base];
+                let last = base + len - 1;
+                for a in [base.saturating_sub(1), base, last, last + 1] {
+                    assert_eq!(pt.lookup(a), reference.lookup(a), "lookup {a:#x}");
+                    assert_eq!(pt.page_base(a), reference.page_base(a), "page_base {a:#x}");
+                    assert_eq!(pt.resolve(a), reference.resolve(a), "resolve {a:#x}");
+                    *hits += u32::from(pt.lookup(a).is_some());
+                }
+            }
+        };
+        check(&pt, &reference, &mut hits);
+        // Pages marked not present and serviced, interleaved.
+        for _ in 0..64 {
+            let (base, room, _) = ranges[rng.next_below(ranges.len() as u64) as usize];
+            let a = base + rng.next_below(room + (64 << 10));
+            if rng.next_below(3) == 0 {
+                pt.service_fault(a);
+                if let Some(page) = reference.page_base(a) {
+                    reference.unmapped.remove(&page);
+                }
+            } else {
+                pt.unmap_page(a);
+                if let Some(page) = reference.page_base(a) {
+                    reference.unmapped.insert(page);
+                }
+            }
+            assert_eq!(pt.resolve(a), reference.resolve(a), "resolve {a:#x}");
+            assert_eq!(pt.is_present(a), matches!(reference.resolve(a), Some((_, true))));
+        }
+        check(&pt, &reference, &mut hits);
+    }
+    assert!(hits > 64 * CASES as u32, "only {hits} probes landed in a mapping");
+}
+
 /// [`TranslationCache`] as it stood before its linked-list LRU: each
 /// cached page base carries the tick of its last touch, and a miss on a
 /// full cache scans every entry for the minimum tick. Also counts the
@@ -205,18 +316,32 @@ impl MinTickCache {
 fn lru_translation_cache_matches_the_min_tick_reference() {
     let mut rng = SplitMix64::new(0x3E3_000D);
     let (mut hits, mut faults, mut evictions, mut flushes) = (0u64, 0u64, 0u64, 0u64);
-    for capacity in [1usize, 2, 8, 128] {
-        for _ in 0..8 {
+    for capacity in [1usize, 2, 3, 8, 127, 128, 129, 512] {
+        for case in 0..8 {
             // A 4 KiB mapping with half again as many pages as the cache
-            // holds, a hole, then eight 2 MiB pages.
-            let small_pages = (capacity + capacity / 2 + 2) as u64;
+            // holds, a hole, then eight 2 MiB pages. Every other case maps
+            // 2^18 4 KiB pages instead but draws from a pool of only a few
+            // more scattered pages than the cache holds, one of them
+            // swapped for a fresh one at every other draw: the cache stays
+            // full, its index half full, and probe chains run long and
+            // wrap past the end of the table.
+            let dense = case % 2 == 1;
+            let small_pages = if dense { 1 << 18 } else { (capacity + capacity / 2 + 2) as u64 };
             let (small, hole, huge) = (1u64 << 30, 1u64 << 31, 1u64 << 32);
             let mut pt = PageTable::new();
             pt.map_range(small, small_pages * 4096, PageSize::Base4K);
             pt.map_range(huge, 8 << 21, PageSize::Huge2M);
-            let pick = |rng: &mut SplitMix64| {
+            let mut pool: Vec<u64> =
+                (0..capacity + 3).map(|_| rng.next_below(small_pages)).collect();
+            let mut pick = |rng: &mut SplitMix64| {
                 if rng.next_below(4) == 0 {
                     huge + rng.next_below(8 << 21)
+                } else if dense {
+                    let i = rng.next_below(pool.len() as u64) as usize;
+                    if rng.next_below(2) == 0 {
+                        pool[i] = rng.next_below(small_pages);
+                    }
+                    small + pool[i] * 4096 + rng.next_below(4096)
                 } else {
                     small + rng.next_below(small_pages * 4096)
                 }

@@ -663,7 +663,7 @@ impl Fleet {
     /// `threads` workers over contiguous shard chunks — and returns the
     /// per-shard results **in shard order** regardless of thread count.
     ///
-    /// This is the generalized core under [`run_parallel`]: `f` takes
+    /// This is the generalized core under [`run_parallel`](Self::run_parallel): `f` takes
     /// ownership of the shard's service and may drive it however it
     /// likes (the stock loop calls [`DsaService::run`]; the `dsa-ctl`
     /// governed fleet runs an epoch/re-plan loop). Workers own contiguous

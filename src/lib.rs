@@ -37,9 +37,10 @@ pub use dsa_workloads as workloads;
 /// ([`DsaRuntime`](dsa_core::runtime::DsaRuntime), `Job`, `Batch`,
 /// `AsyncQueue`), where operations run (`Engine`, the `DsaBackend` device
 /// pool, and the `Dispatcher` with its `DispatchPolicy`), configuration
-/// (`AccelConfig`, the [`presets`] module, `DeviceConfig`/`DeviceCaps`),
-/// the guideline advisors ([`guidelines`]), operation kinds
-/// ([`OpKind`]), the service layer (`DsaService`,
+/// (`AccelConfig`, the [`presets`](dsa_core::config::presets) module,
+/// `DeviceConfig`/`DeviceCaps`), the guideline advisors
+/// ([`guidelines`](dsa_core::guidelines)), operation kinds
+/// ([`OpKind`](dsa_ops::OpKind)), the service layer (`DsaService`,
 /// `TenantSpec`, …), the plan/SLO objects and the `dsa-ctl` control
 /// plane (`Plan`, `PlanSpec`, `SloTarget`, `Governor`), measurement
 /// helpers (`Measure`/`Mode`), and the simulated clock
