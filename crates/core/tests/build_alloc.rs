@@ -81,13 +81,15 @@ fn runtime_builds_allocate_no_bulk_state() {
         "a timing-only runtime with 64 MiB of buffers allocated {bytes} B, expected under 64 KiB"
     );
 
-    let zeros_crc = u64::from(Crc32c::checksum(&vec![0; 1 << 20]));
+    let zeros_crc = |len: usize| u64::from(Crc32c::checksum(&vec![0; len]));
+    let (half_crc, full_crc) = (zeros_crc(1 << 19), zeros_crc(1 << 20));
     // CRC and compare of each buffer as device jobs, each translating its
-    // operands' leading pages through the device ATC.
-    let read_all = |rt: &mut DsaRuntime, bufs: &[BufferHandle]| {
+    // operands' leading pages through the device ATC; every buffer reads
+    // as zeros, whose CRC is `crc`.
+    let read_all = |rt: &mut DsaRuntime, bufs: &[BufferHandle], crc: u64| {
         for (i, buf) in bufs.iter().enumerate() {
-            let crc = Job::crc32(buf).execute(rt).expect("a CRC job runs").record;
-            assert_eq!(crc.status, Status::Success);
+            let rec = Job::crc32(buf).execute(rt).expect("a CRC job runs").record;
+            assert_eq!((rec.status, rec.result), (Status::Success, crc));
             let other = &bufs[(i + 1) % bufs.len()];
             let cmp = Job::compare(buf, other).execute(rt).expect("a compare job runs").record;
             assert_eq!(cmp.status, Status::Success);
@@ -98,12 +100,10 @@ fn runtime_builds_allocate_no_bulk_state() {
     // gaps. A warm-up pass over half-size buffers grows those bounded
     // lists (and a half-size zero slab) before the window opens.
     let warm: Vec<_> = (0..64).map(|_| rt.alloc(1 << 19, Location::local_dram())).collect();
-    read_all(&mut rt, &warm);
+    read_all(&mut rt, &warm, half_crc);
     let (bytes, bufs) = heap_bytes(|| {
         let bufs: Vec<_> = (0..64).map(|_| rt.alloc(1 << 20, Location::local_dram())).collect();
-        read_all(&mut rt, &bufs);
-        let crc = Job::crc32(&bufs[0]).execute(&mut rt).expect("a CRC job runs").record;
-        assert_eq!(crc.result, zeros_crc);
+        read_all(&mut rt, &bufs, full_crc);
         bufs
     });
     assert!(

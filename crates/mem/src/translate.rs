@@ -127,18 +127,17 @@ pub struct TranslateOutcome {
 
 /// An LRU translation cache — models both core TLBs and the device ATC.
 ///
-/// A translation costs O(1) expected host time and, after the first,
-/// never touches the heap: both structures are allocated once, at the
-/// first translation of a mapped address. LRU order lives in an
-/// intrusive doubly-linked list over a slab of at most `capacity` nodes
-/// (front = most recently touched), and a fixed open-addressing table
-/// indexes each cached page base to its slot. The table holds a
-/// power-of-two number of entries, at least twice the capacity, so it is
-/// never more than half full; a page probes linearly from a fixed
-/// multiplicative hash of its page number, and a removal shifts the rest
-/// of its probe chain back. A hit moves its node to the front; a miss on
-/// a full cache evicts the tail, which is exactly the least recently
-/// touched translation.
+/// A translation costs O(1) expected host time and never touches the
+/// heap: both structures are allocated once, when the cache is built.
+/// LRU order lives in an intrusive doubly-linked list over a slab of at
+/// most `capacity` nodes (front = most recently touched), and a fixed
+/// open-addressing table indexes each cached page base to its slot. The
+/// table holds a power-of-two number of entries, at least twice the
+/// capacity, so it is never more than half full; a page probes linearly
+/// from a fixed multiplicative hash of its page number, and a removal
+/// shifts the rest of its probe chain back. A hit moves its node to the
+/// front; a miss on a full cache evicts the tail, which is exactly the
+/// least recently touched translation.
 ///
 /// ```
 /// use dsa_mem::translate::{PageTable, TranslationCache};
@@ -156,8 +155,8 @@ pub struct TranslateOutcome {
 #[derive(Clone, Debug)]
 pub struct TranslationCache {
     // Open-addressing index: each entry is a slot in `nodes`, or `NIL`
-    // when empty; no entries until the first translation. Nothing
-    // iterates it, so its order never reaches a result.
+    // when empty. Nothing iterates it, so its order never reaches a
+    // result.
     index: Box<[u32]>,
     // `64 - log2(index.len())`: a hash's top bits pick the home entry.
     shift: u32,
@@ -193,10 +192,11 @@ impl TranslationCache {
     pub fn new(capacity: usize, walk_latency: SimDuration) -> TranslationCache {
         assert!(capacity > 0, "translation cache needs capacity");
         assert!(capacity < NIL as usize, "translation cache slots are u32");
+        let entries = (2 * capacity).next_power_of_two();
         TranslationCache {
-            index: Box::default(),
-            shift: 64 - (2 * capacity).next_power_of_two().trailing_zeros(),
-            nodes: Vec::new(),
+            index: vec![NIL; entries].into_boxed_slice(),
+            shift: 64 - entries.trailing_zeros(),
+            nodes: Vec::with_capacity(capacity),
             head: NIL,
             tail: NIL,
             capacity,
@@ -217,9 +217,6 @@ impl TranslationCache {
             self.misses += 1;
             return TranslateOutcome { cost: self.walk_latency, fault: true, hit: false };
         };
-        if self.index.is_empty() {
-            self.allocate();
-        }
         if let Ok(at) = self.probe(page) {
             let slot = self.index[at];
             self.unlink(slot);
@@ -254,15 +251,6 @@ impl TranslationCache {
     /// the capacity).
     pub fn cached(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Sizes the index and the slab, once, at the first translation of a
-    /// mapped address: a cache that never translates (a runtime's idle
-    /// device) costs no heap.
-    #[cold]
-    fn allocate(&mut self) {
-        self.index = vec![NIL; 1 << (64 - self.shift)].into_boxed_slice();
-        self.nodes.reserve_exact(self.capacity);
     }
 
     /// The index entry a probe for `page` starts at.
